@@ -17,9 +17,12 @@ from .population import (
     Realization,
     SelectionModel,
     empirical_stats,
+    joint_counts,
     make_population,
     mc_expectation,
+    mc_expectation_reference,
     realize,
+    stats_from_counts,
 )
 from .decomposition import (
     AdjustmentFactors,

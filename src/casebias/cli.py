@@ -27,7 +27,7 @@ from .population import (
     SelectionModel,
     empirical_stats,
     make_population,
-    mc_expectation,
+    mc_expectation_reference,
     realize,
 )
 from .decomposition import (
@@ -527,13 +527,17 @@ def _cmd_mc_verify(opts: dict, caught: list) -> int:
     meas = _meas(opts)
     checks = {}
 
-    est = mc_expectation(pop, srs, PERFECT_TEST, "rho_iy", opts["reps"], opts["seed"] + 1)
+    est = mc_expectation_reference(
+        pop, srs, PERFECT_TEST, "rho_iy", opts["reps"], opts["seed"] + 1
+    )
     checks["srs_rho_zero"] = {
         "value": est.mean,
         "bound": 3 * est.std_error,
         "passed": abs(est.mean) < 3 * est.std_error,
     }
-    est = mc_expectation(pop, srs, PERFECT_TEST, "rho_iy_sq", opts["reps"], opts["seed"] + 2)
+    est = mc_expectation_reference(
+        pop, srs, PERFECT_TEST, "rho_iy_sq", opts["reps"], opts["seed"] + 2
+    )
     target = 1.0 / (pop.size - 1)
     checks["srs_rho_sq"] = {
         "value": est.mean,
@@ -541,7 +545,9 @@ def _cmd_mc_verify(opts: dict, caught: list) -> int:
         "bound": 3 * est.std_error,
         "passed": abs(est.mean - target) < 3 * est.std_error,
     }
-    est = mc_expectation(pop, srs, PERFECT_TEST, "ybar_star", opts["reps"], opts["seed"] + 3)
+    est = mc_expectation_reference(
+        pop, srs, PERFECT_TEST, "ybar_star", opts["reps"], opts["seed"] + 3
+    )
     checks["epsem_unbiased"] = {
         "value": est.mean,
         "target": pop.prevalence,

@@ -226,6 +226,7 @@ def relative_mse_mc(
     replications, squares the means, and returns (ratio, standard_error) with
     the error propagated from the two mean estimates.  Agrees with
     ``relative_mse(..., adjustment="expectation")`` within Monte Carlo noise.
+    ``seed`` may be an int, a SeedSequence or a Generator.
     """
     from .population import make_population, mc_expectation
     from .decomposition import corrected_prevalence
@@ -248,8 +249,10 @@ def relative_mse_mc(
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
 
-    num = mc_expectation(pop, sel, meas, func, replications, seed)
-    den = mc_expectation(pop, sel, PERFECT_TEST, "error", replications, seed + 1)
+    # Both estimates draw from one generator, so any seed form works.
+    rng = np.random.default_rng(seed)
+    num = mc_expectation(pop, sel, meas, func, replications, rng)
+    den = mc_expectation(pop, sel, PERFECT_TEST, "error", replications, rng)
     ratio = (num.mean / den.mean) ** 2
     # Delta method on the squared ratio.
     se = abs(ratio) * 2.0 * math.sqrt(

@@ -7,12 +7,29 @@ every individual but consumed only where the selection indicator is 1; the
 population-wide flip vector is what makes the three-term error identity exact
 realization by realization.
 
+Every field of ``EmpiricalStats`` is a function of eight joint counts over
+(Y, selected, flipped).  ``stats_from_counts`` is the one kernel that turns
+counts into statistics, array in and array out, with a degenerate mask.  Two
+samplers feed it:
+
+- ``realize`` is the per-individual reference sampler; ``joint_counts`` counts
+  its cells and ``empirical_stats`` applies the kernel to them.
+- ``mc_expectation`` draws the counts directly.  Given the population, the
+  positives' cells and the negatives' cells are two independent 4-cell
+  multinomials, so all replications come from two batched draws at a cost
+  independent of N.  ``mc_expectation_reference`` computes the same estimate
+  from one ``realize`` per replication instead.
+
+Seeds (``SeedLike``) may be an int, a ``SeedSequence`` or a ``Generator``.  A
+``Generator`` is drawn from, so it advances; the other forms start a fresh
+stream.
+
 All moments are population moments (1/N normalization).  The exact identities
 checked elsewhere hold only under that convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -28,8 +45,11 @@ __all__ = [
     "MCEstimate",
     "make_population",
     "realize",
+    "joint_counts",
+    "stats_from_counts",
     "empirical_stats",
     "mc_expectation",
+    "mc_expectation_reference",
 ]
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -41,9 +61,18 @@ class DegenerateSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class FinitePopulation:
-    """Fixed binary disease indicators for N individuals."""
+    """Fixed binary disease indicators for N individuals.
+
+    The outcomes never change, so the positive mask, the number of positives
+    ``total``, ``prevalence`` = total / N and ``sigma_y`` =
+    sqrt(prev * (1 - prev)) are computed once, at construction.
+    """
 
     outcomes: np.ndarray
+    positive: np.ndarray = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
+    prevalence: float = field(init=False, repr=False, compare=False)
+    sigma_y: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.outcomes, dtype=np.int8)
@@ -52,26 +81,19 @@ class FinitePopulation:
         if not np.isin(arr, (0, 1)).all():
             raise ValueError("outcomes must be 0/1")
         arr.flags.writeable = False
+        positive = arr == 1
+        positive.flags.writeable = False
+        total = int(arr.sum())
+        prevalence = total / arr.size
         object.__setattr__(self, "outcomes", arr)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "prevalence", prevalence)
+        object.__setattr__(self, "sigma_y", float(np.sqrt(prevalence * (1.0 - prevalence))))
 
     @property
     def size(self) -> int:
         return int(self.outcomes.size)
-
-    @property
-    def total(self) -> int:
-        """Number of positive individuals."""
-        return int(self.outcomes.sum())
-
-    @property
-    def prevalence(self) -> float:
-        return self.total / self.size
-
-    @property
-    def sigma_y(self) -> float:
-        """Population standard deviation sqrt(prev * (1 - prev))."""
-        p = self.prevalence
-        return float(np.sqrt(p * (1.0 - p)))
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,11 @@ class Realization:
 
 @dataclass(frozen=True)
 class EmpiricalStats:
-    """Population-level statistics of one realization (1/N moments)."""
+    """Population-level statistics of one realization (1/N moments).
+
+    ``stats_from_counts`` fills the fields with arrays, one entry per
+    replication; ``empirical_stats`` and callable functionals see floats.
+    """
 
     f_hat: float
     ybar_star: float
@@ -225,8 +251,7 @@ def realize(
     the realization exactly.
     """
     rng = np.random.default_rng(seed)
-    y = pop.outcomes
-    pos = y == 1
+    pos = pop.positive
     p_select = np.where(pos, sel.f1, sel.f0)
     selected = rng.random(pop.size) < p_select
     p_flip = np.where(pos, meas.fn, meas.fp)
@@ -235,76 +260,120 @@ def realize(
     return Realization(selected=selected, flipped=flipped, observed=observed)
 
 
-def empirical_stats(pop: FinitePopulation, r: Realization) -> EmpiricalStats:
-    """Finite-population statistics of a realization.
+def joint_counts(pop: FinitePopulation, r: Realization) -> np.ndarray:
+    """The eight (Y, selected, flipped) cell counts of a realization.
 
-    Raises DegenerateSampleError when the sample is empty, when everyone is
-    selected (selection variance zero), or when the population itself has no
-    outcome variance, since the correlations are undefined in those cases.
-    ``rho_ipz`` is reported as 0.0 when no flips occurred anywhere (the
-    covariance is exactly zero as well, so the identity is unaffected).
+    Layout, shared with ``mc_expectation``'s draws: the four cells of the
+    positives, then the four of the negatives, each ordered (selected and
+    flipped, selected only, flipped only, neither).
     """
-    y = pop.outcomes
-    n_pop = pop.size
+    pos = pop.positive
     sel = r.selected
-    n = r.n
-    if n == 0:
-        raise DegenerateSampleError("empty sample: observed mean undefined")
-    if n == n_pop:
-        raise DegenerateSampleError("census: selection variance is zero, rho undefined")
-    ybar = pop.prevalence
-    sigma_y = pop.sigma_y
-    if sigma_y == 0.0:
-        raise DegenerateSampleError("population outcomes are constant, rho undefined")
-
-    # Every statistic below is a function of eight joint counts over
-    # (Y, selected, flipped); integer counting keeps them exact and fast.
-    pos = y == 1
     flip = r.flipped
-    n_pos = pop.total
-    n_neg = n_pop - n_pos
+    n = r.n
     sel_pos = int(np.count_nonzero(sel & pos))
     flip_pos = int(np.count_nonzero(flip & pos))
     flip_neg = int(np.count_nonzero(flip)) - flip_pos
     sel_flip = sel & flip
     sel_flip_pos = int(np.count_nonzero(sel_flip & pos))
     sel_flip_neg = int(np.count_nonzero(sel_flip)) - sel_flip_pos
+    sel_neg = n - sel_pos
+    n_pos = pop.total
+    n_neg = pop.size - n_pos
+    return np.array([
+        sel_flip_pos,
+        sel_pos - sel_flip_pos,
+        flip_pos - sel_flip_pos,
+        n_pos - sel_pos - flip_pos + sel_flip_pos,
+        sel_flip_neg,
+        sel_neg - sel_flip_neg,
+        flip_neg - sel_flip_neg,
+        n_neg - sel_neg - flip_neg + sel_flip_neg,
+    ])
 
-    f_hat = n / n_pop
-    sigma_i = np.sqrt(f_hat * (1.0 - f_hat))
-    # Observed positives: unflipped true positives plus flipped negatives.
-    ybar_star = ((sel_pos - sel_flip_pos) + sel_flip_neg) / n
 
-    cov_iy = sel_pos / n_pop - f_hat * ybar
-    rho_iy = cov_iy / (sigma_i * sigma_y)
+def stats_from_counts(pop: FinitePopulation, counts) -> tuple[EmpiricalStats, np.ndarray]:
+    """Statistics from joint cell counts: the one kernel behind every sampler.
 
-    # PZ = P * (1 - 2Y) is +1 on flipped negatives, -1 on flipped positives.
-    mean_pz = (flip_neg - flip_pos) / n_pop
-    var_pz = (flip_neg + flip_pos) / n_pop - mean_pz ** 2
-    sigma_pz = float(np.sqrt(var_pz))
-    cov_ipz = (sel_flip_neg - sel_flip_pos) / n_pop - f_hat * mean_pz
-    rho_ipz = cov_ipz / (sigma_i * sigma_pz) if sigma_pz > 0.0 else 0.0
+    ``counts`` has the ``joint_counts`` layout on its last axis; any leading
+    axes (replications, say) carry through, so the fields of the returned
+    ``EmpiricalStats`` are arrays of the leading shape.  Returns
+    ``(stats, degenerate)``, where ``degenerate`` marks the empty sample
+    (n = 0), the census (n = N) and a constant population (sigma_Y = 0): the
+    correlations are undefined there and those entries hold no meaning.
+    ``rho_ipz`` is 0 wherever no flips occurred (sigma_PZ = 0; the covariance
+    is exactly zero as well, so the identity is unaffected).  No numpy warning
+    is emitted for any input.
+    """
+    counts = np.asarray(counts)
+    sel_flip_pos = counts[..., 0]
+    sel_pos = sel_flip_pos + counts[..., 1]
+    flip_pos = sel_flip_pos + counts[..., 2]
+    sel_flip_neg = counts[..., 4]
+    sel_neg = sel_flip_neg + counts[..., 5]
+    flip_neg = sel_flip_neg + counts[..., 6]
+    n = sel_pos + sel_neg
+    n_pop = pop.size
+    n_pos = pop.total
+    ybar = pop.prevalence
+    sigma_y = pop.sigma_y
+    degenerate = (n == 0) | (n == n_pop) | (sigma_y == 0.0)
 
-    fn_hat = flip_pos / n_pos if n_pos else 0.0
-    fp_hat = flip_neg / n_neg if n_neg else 0.0
-    f1_hat = sel_pos / n_pos if n_pos else 0.0
-    f0_hat = (n - sel_pos) / n_neg if n_neg else 0.0
+    # Degenerate entries divide by zero; they are masked, not reported.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_hat = n / n_pop
+        sigma_i = np.sqrt(f_hat * (1.0 - f_hat))
+        # Observed positives: unflipped true positives plus flipped negatives.
+        ybar_star = ((sel_pos - sel_flip_pos) + sel_flip_neg) / n
 
-    return EmpiricalStats(
-        f_hat=f_hat,
-        ybar_star=float(ybar_star),
-        rho_iy=float(rho_iy),
-        rho_ipz=float(rho_ipz),
-        sigma_pz=sigma_pz,
-        fp_hat=fp_hat,
-        fn_hat=fn_hat,
-        f0_hat=f0_hat,
-        f1_hat=f1_hat,
-    )
+        cov_iy = sel_pos / n_pop - f_hat * ybar
+        rho_iy = cov_iy / (sigma_i * sigma_y)
+
+        # PZ = P * (1 - 2Y) is +1 on flipped negatives, -1 on flipped positives.
+        mean_pz = (flip_neg - flip_pos) / n_pop
+        var_pz = (flip_neg + flip_pos) / n_pop - mean_pz ** 2
+        sigma_pz = np.sqrt(var_pz)
+        cov_ipz = (sel_flip_neg - sel_flip_pos) / n_pop - f_hat * mean_pz
+        rho_ipz = np.where(sigma_pz > 0.0, cov_ipz / (sigma_i * sigma_pz), 0.0)
+
+        stats = EmpiricalStats(
+            f_hat=f_hat,
+            ybar_star=ybar_star,
+            rho_iy=rho_iy,
+            rho_ipz=rho_ipz,
+            sigma_pz=sigma_pz,
+            fp_hat=flip_neg / (n_pop - n_pos),
+            fn_hat=flip_pos / n_pos,
+            f0_hat=sel_neg / (n_pop - n_pos),
+            f1_hat=sel_pos / n_pos,
+        )
+    return stats, degenerate
+
+
+_FIELDS = tuple(f.name for f in fields(EmpiricalStats))
+
+
+def empirical_stats(pop: FinitePopulation, r: Realization) -> EmpiricalStats:
+    """Finite-population statistics of a realization.
+
+    Counts the realization's cells and applies ``stats_from_counts``.  Raises
+    DegenerateSampleError when the sample is empty, when everyone is selected
+    (selection variance zero), or when the population itself has no outcome
+    variance, since the correlations are undefined in those cases.
+    """
+    stats, degenerate = stats_from_counts(pop, joint_counts(pop, r))
+    if degenerate:
+        if stats.f_hat == 0.0:
+            raise DegenerateSampleError("empty sample: observed mean undefined")
+        if stats.f_hat == 1.0:
+            raise DegenerateSampleError("census: selection variance is zero, rho undefined")
+        raise DegenerateSampleError("population outcomes are constant, rho undefined")
+    return EmpiricalStats(*(float(getattr(stats, name)) for name in _FIELDS))
 
 
 Functional = Union[str, Callable[[FinitePopulation, EmpiricalStats], float]]
 
+# Each entry also runs unchanged on array-valued stats.
 FUNCTIONALS = {
     "rho_iy": lambda pop, s: s.rho_iy,
     "rho_iy_sq": lambda pop, s: s.rho_iy ** 2,
@@ -314,6 +383,47 @@ FUNCTIONALS = {
     "error": lambda pop, s: s.ybar_star - pop.prevalence,
     "sq_error": lambda pop, s: (s.ybar_star - pop.prevalence) ** 2,
 }
+
+
+def _check_request(functional: Functional, replications: int) -> None:
+    if replications < 2:
+        raise ValueError("replications must be >= 2")
+    if isinstance(functional, str) and functional not in FUNCTIONALS:
+        raise ValueError(
+            f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}"
+        )
+
+
+def _summarize(pop: FinitePopulation, counts: np.ndarray, functional: Functional) -> MCEstimate:
+    """Mean and standard error of a functional over per-replication counts.
+
+    Degenerate replications are skipped and counted; more than 50%
+    degenerate is an error.
+    """
+    replications = counts.shape[0]
+    stats, degenerate = stats_from_counts(pop, counts)
+    bad = int(np.count_nonzero(degenerate))
+    if bad > replications // 2:
+        raise DegenerateSampleError(f"{bad}/{replications} replications degenerate")
+    keep = ~degenerate
+    if isinstance(functional, str):
+        kept = EmpiricalStats(*(getattr(stats, name)[keep] for name in _FIELDS))
+        sample = np.asarray(FUNCTIONALS[functional](pop, kept), dtype=np.float64)
+    else:
+        # Callables get one scalar EmpiricalStats per replication.
+        columns = [getattr(stats, name)[keep].tolist() for name in _FIELDS]
+        sample = np.array(
+            [functional(pop, EmpiricalStats(*row)) for row in zip(*columns)], dtype=np.float64
+        )
+    used = replications - bad
+    mean = float(sample.mean())
+    std_error = float(sample.std(ddof=1) / np.sqrt(used))
+    return MCEstimate(mean=mean, std_error=std_error, replications=used, degenerate=bad)
+
+
+def _cell_probabilities(f: float, rate: float) -> list:
+    """(selected and flipped, selected only, flipped only, neither)."""
+    return [f * rate, f * (1.0 - rate), (1.0 - f) * rate, (1.0 - f) * (1.0 - rate)]
 
 
 def mc_expectation(
@@ -326,47 +436,58 @@ def mc_expectation(
 ) -> MCEstimate:
     """Monte Carlo expectation of a statistic over independent realizations.
 
-    Per-replication seeds are spawned deterministically from the master seed,
-    so the result does not depend on evaluation order.  Degenerate
-    realizations are skipped and counted; more than 50% degenerate is an
-    error.
+    Draws every replication's joint counts at once: one multinomial over the
+    positives' cells with rates (f1, FN), then one over the negatives' cells
+    with rates (f0, FP), both from ``np.random.default_rng(seed)``.
+    Degenerate realizations are skipped and counted; more than 50% degenerate
+    is an error.
 
     Parameters
     ----------
     functional : str or callable
-        Either a key of ``FUNCTIONALS`` or a callable ``(pop, stats) -> float``.
+        Either a key of ``FUNCTIONALS``, evaluated as one array expression, or
+        a callable ``(pop, stats) -> float`` that is called once per
+        non-degenerate replication with a scalar ``EmpiricalStats``.
+    seed : int, SeedSequence or Generator
+        A Generator is drawn from and advances.
     """
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
-    if isinstance(functional, str):
-        try:
-            func = FUNCTIONALS[functional]
-        except KeyError:
-            raise ValueError(
-                f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}"
-            ) from None
-    else:
-        func = functional
+    _check_request(functional, replications)
+    rng = np.random.default_rng(seed)
+    n_pos = pop.total
+    counts = np.concatenate(
+        [
+            rng.multinomial(n_pos, _cell_probabilities(sel.f1, meas.fn), size=replications),
+            rng.multinomial(
+                pop.size - n_pos, _cell_probabilities(sel.f0, meas.fp), size=replications
+            ),
+        ],
+        axis=1,
+    )
+    return _summarize(pop, counts, functional)
 
+
+def mc_expectation_reference(
+    pop: FinitePopulation,
+    sel: SelectionModel,
+    meas: MeasurementModel,
+    functional: Functional,
+    replications: int,
+    seed: SeedLike,
+) -> MCEstimate:
+    """``mc_expectation`` on the per-individual reference sampler.
+
+    Replication i is ``realize(pop, sel, meas, children[i])`` with
+    ``children = SeedSequence(seed).spawn(replications)`` (a SeedSequence
+    seed is spawned from directly; a Generator seeds a SeedSequence from one
+    draw).  Its cells go through the same kernel and summary as
+    ``mc_expectation``.  It costs O(N) per replication; use it where the
+    realization stream itself must be reproduced.
+    """
+    _check_request(functional, replications)
+    if isinstance(seed, np.random.Generator):
+        seed = int(seed.integers(2**63))
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = master.spawn(replications)
-    values = np.empty(replications, dtype=np.float64)
-    used = 0
-    degenerate = 0
-    for child in children:
-        r = realize(pop, sel, meas, child)
-        try:
-            stats = empirical_stats(pop, r)
-        except DegenerateSampleError:
-            degenerate += 1
-            continue
-        values[used] = func(pop, stats)
-        used += 1
-    if degenerate > replications // 2:
-        raise DegenerateSampleError(
-            f"{degenerate}/{replications} replications degenerate"
-        )
-    sample = values[:used]
-    mean = float(sample.mean())
-    std_error = float(sample.std(ddof=1) / np.sqrt(used))
-    return MCEstimate(mean=mean, std_error=std_error, replications=used, degenerate=degenerate)
+    counts = np.array(
+        [joint_counts(pop, realize(pop, sel, meas, child)) for child in master.spawn(replications)]
+    )
+    return _summarize(pop, counts, functional)

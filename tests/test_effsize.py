@@ -182,3 +182,16 @@ def test_constant_quality_gain_is_quantity_ratio():
     bound2 = f2 / (1 - f2) / rho**2
     assert bound2 / bound1 == pytest.approx((f2 / (1 - f2)) / (f1 / (1 - f1)), rel=1e-12)
     assert 1.8 < bound2 / bound1 < 2.3
+
+
+def test_relative_mse_mc_seed_forms():
+    with_meas = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
+    without = EffSizeScenario(0.091, 1.5, 0.026)
+
+    def run(seed):
+        return relative_mse_mc(with_meas, without, size=20_000, replications=50, seed=seed)
+
+    by_int = run(23)
+    assert run(np.random.SeedSequence(23)) == by_int
+    assert run(np.random.default_rng(23)) == by_int
+    assert all(math.isfinite(v) for v in by_int)
