@@ -3,7 +3,7 @@
 Z-scores for prevalence differences, the population adjustment that makes
 them scale with the smaller population, effective-sample-size-aware Z-scores,
 error decompositions for raw and per-capita count differences, and two-country
-reproduction-number gap trajectories.
+reproduction-number gap trajectories, one array pass over each country's steps.
 """
 from __future__ import annotations
 
@@ -15,12 +15,7 @@ import numpy as np
 
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, true_rt
-from .estimators import (
-    InfeasibleScenarioError,
-    TwoPeriodContext,
-    period_stats_analytic,
-    rt_error,
-)
+from .estimators import _rt_error_series
 
 __all__ = [
     "PopulationSummary",
@@ -243,46 +238,25 @@ def rt_gap(
     (1/serial) * log((1+e_A)/(1+e_B)).
     """
     offsets = (_first_case_step(traj_a), _first_case_step(traj_b))
-    k_a = traj_a.new_case_fraction[offsets[0]:]
-    k_b = traj_b.new_case_fraction[offsets[1]:]
-    n_steps = min(k_a.size, k_b.size)
+    n_steps = min(traj_a.new_cases.size - offsets[0], traj_b.new_cases.size - offsets[1])
 
-    rts = []
+    true_vals, est = [], []
     for traj, off in zip((traj_a, traj_b), offsets):
-        rt_full = true_rt(traj, serial_interval)
-        rts.append(rt_full[off:off + n_steps])
-    true_a, true_b = rts
-
-    est_a = np.full(n_steps, np.nan)
-    est_b = np.full(n_steps, np.nan)
-    flagged = set()
-    for name, k, traj, off, true_vals, est in (
-        ("A", k_a, traj_a, offsets[0], true_a, est_a),
-        ("B", k_b, traj_b, offsets[1], true_b, est_b),
-    ):
-        for t in range(1, n_steps):
-            if not (k[t - 1] > 0.0 and k[t] > 0.0) or math.isnan(true_vals[t]):
-                flagged.add(t)
-                continue
-            s_ratio = 1.0
-            if exact_susceptible:
-                s_ratio = traj.susceptible[off + t] / traj.susceptible[off + t - 1]
-            ctx = TwoPeriodContext(
-                prev=period_stats_analytic(k[t - 1], f, rel_rate, meas),
-                curr=period_stats_analytic(k[t], f, rel_rate, meas),
-            )
-            try:
-                est[t] = true_vals[t] + rt_error(ctx, s_ratio, serial_interval)
-            except InfeasibleScenarioError:
-                flagged.add(t)
-    flagged.add(0)
+        k = traj.new_case_fraction[off:off + n_steps]
+        err = _rt_error_series(
+            k, traj.susceptible[off:], f, rel_rate, meas, serial_interval, exact_susceptible
+        )
+        true_vals.append(true_rt(traj, serial_interval)[off:off + n_steps])
+        est.append(true_vals[-1] + err)
+    # Step 0 has no previous period, so both estimates are NaN there.
+    flagged = np.nonzero(np.isnan(est[0]) | np.isnan(est[1]))[0]
     return RtGap(
         steps=np.arange(n_steps),
-        true_a=true_a,
-        true_b=true_b,
-        est_a=est_a,
-        est_b=est_b,
-        flagged=tuple(sorted(flagged)),
+        true_a=true_vals[0],
+        true_b=true_vals[1],
+        est_a=est[0],
+        est_b=est[1],
+        flagged=tuple(flagged.tolist()),
     )
 
 

@@ -24,6 +24,7 @@ from .population import (
     FinitePopulation,
     MeasurementModel,
     SelectionModel,
+    _all,
 )
 
 __all__ = [
@@ -134,6 +135,11 @@ def decompose_realization(pop: FinitePopulation, stats: EmpiricalStats) -> Error
     )
 
 
+def _flip_mass(meas: MeasurementModel, ybar):
+    """FP(1-Ybar) + FN*Ybar, the expected flip rate at prevalence Ybar."""
+    return meas.fp * (1.0 - ybar) + meas.fn * ybar
+
+
 def sigma_pz_analytic(ybar: float, meas: MeasurementModel, exact: bool = False) -> float:
     """Standard deviation of the flip variable P*Z for binary outcomes.
 
@@ -143,7 +149,7 @@ def sigma_pz_analytic(ybar: float, meas: MeasurementModel, exact: bool = False) 
     mix = FP(1-Ybar)+FN*Ybar and mean_PZ = FP(1-Ybar)-FN*Ybar, which is what
     the empirical standard deviation converges to.
     """
-    mix = meas.fp * (1.0 - ybar) + meas.fn * ybar
+    mix = _flip_mass(meas, ybar)
     if exact:
         mean_pz = meas.fp * (1.0 - ybar) - meas.fn * ybar
         return float(np.sqrt(mix - mean_pz ** 2))
@@ -184,31 +190,31 @@ def rho_ipz_from_rho_iy(
     return float(-rho_iy * (meas.fp + meas.fn) * sigma_y / sigma_pz)
 
 
+def _bracket(base: float, sel: SelectionModel, meas: MeasurementModel, ybar):
+    """base - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f, elementwise."""
+    if not _all(ybar < 1.0):
+        raise ValueError("prevalence must be < 1")
+    f = sel.overall_fraction(ybar)
+    if not _all(f > 0.0):
+        raise ValueError("overall sampling fraction must be positive")
+    value = base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
 def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
     """Bracket multiplying rho*sigma after folding the interaction term in.
 
-    1 - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f.  The equivalent
-    parameterization through the relative rate is cross-checked whenever it is
-    defined.
+    1 - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f.  Wherever f0 > 0
+    it equals the relative-rate form ``meas_adjustment_rel``.
     """
-    if ybar >= 1.0:
-        raise ValueError("prevalence must be < 1")
-    f = sel.overall_fraction(ybar)
-    if f <= 0.0:
-        raise ValueError("overall sampling fraction must be positive")
-    mix = meas.fp * (1.0 - ybar) + meas.fn * ybar
-    value = 1.0 - sel.delta * (ybar / (1.0 - ybar)) * mix / f
-    if sel.f0 > 0.0:
-        alt = meas_adjustment_rel(sel.relative_rate, meas, ybar)
-        assert np.isclose(value, alt, rtol=1e-10), (value, alt)
-    return float(value)
+    return _bracket(1.0, sel, meas, ybar)
 
 
 def meas_adjustment_rel(rel_rate: float, meas: MeasurementModel, ybar: float) -> float:
     """Relative-rate form of the adjustment; depends only on (M, Ybar, FP, FN)."""
     if ybar >= 1.0:
         raise ValueError("prevalence must be < 1")
-    mix = meas.fp * (1.0 - ybar) + meas.fn * ybar
+    mix = _flip_mass(meas, ybar)
     return float(
         1.0
         - (rel_rate - 1.0) * (ybar / (1.0 - ybar)) * mix / ((1.0 - ybar) + rel_rate * ybar)
@@ -220,14 +226,9 @@ def d_m(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
 
     1 + FP + FN - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f.  Reduces
     to 1 for a perfect test and to 1 + FP + FN under equal testing rates.
+    Broadcasts over array ``ybar`` and array rates in ``sel``.
     """
-    if ybar >= 1.0:
-        raise ValueError("prevalence must be < 1")
-    f = sel.overall_fraction(ybar)
-    if f <= 0.0:
-        raise ValueError("overall sampling fraction must be positive")
-    mix = meas.fp * (1.0 - ybar) + meas.fn * ybar
-    return float(1.0 + meas.fp + meas.fn - sel.delta * (ybar / (1.0 - ybar)) * mix / f)
+    return _bracket(1.0 + meas.fp + meas.fn, sel, meas, ybar)
 
 
 def adjustment_factors(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> AdjustmentFactors:
@@ -248,8 +249,10 @@ def corrected_prevalence(
     correction; ``inverse`` applies the exact inversion
     (ybar* - FP) / (1 - FP - FN), which is unbiased under equal-probability
     sampling.  Results outside [0, 1] are clamped and flagged with a warning
-    rather than silently truncated.
+    rather than silently truncated; a non-finite input raises ValueError.
     """
+    if not np.isfinite(ybar_star):
+        raise ValueError(f"observed prevalence must be finite, got {ybar_star}")
     if method == "linear":
         value = ybar_star + meas.fn * ybar_star - meas.fp * (1.0 - ybar_star)
     elif method == "inverse":

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .population import MeasurementModel, SelectionModel, PERFECT_TEST
+from .population import MeasurementModel, SelectionModel, PERFECT_TEST, _all
 from .decomposition import d_m, meas_adjustment
 
 __all__ = [
@@ -72,12 +72,13 @@ class EffSizeScenario:
 
 
 def binary_rho(delta: float, ybar: float, f: float) -> float:
-    """Data quality for binary outcomes: Delta * sqrt(Ybar(1-Ybar)/(f(1-f)))."""
-    if not 0.0 < ybar < 1.0:
+    """Binary-outcome data quality Delta * sqrt(Ybar(1-Ybar)/(f(1-f))), elementwise."""
+    if not _all((0.0 < ybar) & (ybar < 1.0)):
         raise ValueError("ybar must lie strictly in (0, 1)")
     if not 0.0 < f < 1.0:
         raise ValueError("f must lie strictly in (0, 1)")
-    return float(delta * math.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f))))
+    rho = delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
+    return rho if isinstance(rho, np.ndarray) else float(rho)
 
 
 def neff_bound(scenario: EffSizeScenario) -> float:

@@ -4,9 +4,9 @@ Fixed-step fourth-order Runge-Kutta on
 
     dS/dt = -beta*S*I/N,   dI/dt = beta*S*I/N - gamma*I,   dR/dt = +gamma*I.
 
-The removal rate ``gamma_rec`` is a model parameter; the serial interval used
-by reproduction-number estimators is a separate quantity and is never
-defaulted from it.
+The stages run on Python floats.  The removal rate ``gamma_rec`` is a model
+parameter; the serial interval used by reproduction-number estimators is a
+separate quantity and is never defaulted from it.
 """
 from __future__ import annotations
 
@@ -40,6 +40,9 @@ class SirParams:
     horizon: int = 400
 
     def __post_init__(self):
+        values = (self.beta, self.gamma_rec, self.dt, self.size, self.s0, self.i0, self.r0)
+        if not np.isfinite(values).all():
+            raise ValueError(f"SIR parameters must be finite, got {values}")
         if self.beta <= 0.0 or self.gamma_rec <= 0.0:
             raise ValueError("beta and gamma_rec must be positive")
         if self.dt <= 0.0:
@@ -84,10 +87,9 @@ class SirTrajectory:
         return self.new_cases / self.size
 
 
-def _rhs(state: np.ndarray, beta: float, gamma: float, size: float) -> np.ndarray:
-    s, i, _ = state
+def _rhs(s: float, i: float, beta: float, gamma: float, size: float) -> tuple:
     force = beta * s * i / size
-    return np.array([-force, force - gamma * i, gamma * i])
+    return -force, force - gamma * i, gamma * i
 
 
 # Internal RK4 substeps per reported step: keeps the reported grid at dt while
@@ -104,18 +106,21 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
     Negative compartments flag a too-large step.
     """
     n_steps = params.horizon
-    state = np.array([params.s0, params.i0, params.r0], dtype=np.float64)
-    path = np.empty((n_steps + 1, 3), dtype=np.float64)
-    path[0] = state
+    args = (params.beta, params.gamma_rec, params.size)
+    state = (float(params.s0), float(params.i0), float(params.r0))
+    rows = [state]
     h = params.dt / _SUBSTEPS
-    for t in range(n_steps):
+    for _ in range(n_steps):
         for _ in range(_SUBSTEPS):
-            k1 = _rhs(state, params.beta, params.gamma_rec, params.size)
-            k2 = _rhs(state + 0.5 * h * k1, params.beta, params.gamma_rec, params.size)
-            k3 = _rhs(state + 0.5 * h * k2, params.beta, params.gamma_rec, params.size)
-            k4 = _rhs(state + h * k3, params.beta, params.gamma_rec, params.size)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[t + 1] = state
+            s, i, _r = state
+            k1 = _rhs(s, i, *args)
+            k2 = _rhs(s + 0.5 * h * k1[0], i + 0.5 * h * k1[1], *args)
+            k3 = _rhs(s + 0.5 * h * k2[0], i + 0.5 * h * k2[1], *args)
+            k4 = _rhs(s + h * k3[0], i + h * k3[1], *args)
+            state = tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+        rows.append(state)
+    path = np.array(rows)
 
     if not np.isfinite(path).all() or path.min() < 0.0:
         warnings.warn(

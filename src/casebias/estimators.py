@@ -4,6 +4,10 @@ Covers the two-period ratio estimator for rates of change, the log-ratio
 estimator of the effective reproduction number, bias curves along an SIR
 trajectory, exponential smoothing of reported series, and the inversion that
 recovers the relative testing rate from a survey-anchored prevalence error.
+
+``period_stats_analytic``, ``error_level`` and ``ratio_bias`` broadcast over
+arrays of shares and relative rates (scalars still give floats), so a bias
+curve is one array evaluation per M, not a loop over steps.
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .population import MeasurementModel, SelectionModel
-from .decomposition import corrected_prevalence, d_m
+from .population import MeasurementModel, SelectionModel, _all
+from .decomposition import _flip_mass, corrected_prevalence, d_m
 from .effsize import binary_rho
 from .epidemic import SirTrajectory
 
@@ -47,7 +51,7 @@ class InfeasibleScenarioError(RuntimeError):
 
 @dataclass(frozen=True)
 class PeriodStats:
-    """Per-period ingredients of the two-period bias formulas."""
+    """Per-period ingredients of the two-period bias formulas (floats, or arrays over periods)."""
 
     rho: float
     d_m: float
@@ -56,9 +60,9 @@ class PeriodStats:
     ybar: float
 
     def __post_init__(self):
-        if not 0.0 < self.f < 1.0:
+        if not _all((0.0 < self.f) & (self.f < 1.0)):
             raise ValueError("f must lie strictly in (0, 1)")
-        if self.cv < 0.0:
+        if not _all(self.cv >= 0.0):
             raise ValueError("cv must be nonnegative")
 
 
@@ -70,7 +74,8 @@ class TwoPeriodContext:
 
 def error_level(p: PeriodStats) -> float:
     """Relative error level rho * D_M * sqrt((1-f)/f) * CV of one period."""
-    return p.rho * p.d_m * math.sqrt((1.0 - p.f) / p.f) * p.cv
+    e = p.rho * p.d_m * np.sqrt((1.0 - p.f) / p.f) * p.cv
+    return e if isinstance(e, np.ndarray) else float(e)
 
 
 def ratio_bias(ctx: TwoPeriodContext) -> float:
@@ -80,7 +85,7 @@ def ratio_bias(ctx: TwoPeriodContext) -> float:
     error levels.  Zero exactly when data quality, quantity, difficulty and
     measurement adjustment all repeat across periods.
     """
-    if ctx.prev.ybar <= 0.0:
+    if not _all(ctx.prev.ybar > 0.0):
         raise ValueError("previous-period prevalence must be positive")
     e_prev = error_level(ctx.prev)
     e_curr = error_level(ctx.curr)
@@ -96,6 +101,17 @@ def rt_estimate(ybar_t: float, ybar_prev: float, serial_interval: float) -> floa
     return 1.0 + math.log(ybar_t / ybar_prev) / serial_interval
 
 
+def _log_error(ctx: TwoPeriodContext, s_ratio, serial_interval: float):
+    """``rt_error`` for scalar or array contexts, with NaN where e <= -1."""
+    if not _all((0.0 < s_ratio) & (s_ratio <= 1.0)):
+        raise ValueError("s_ratio must lie in (0, 1]")
+    if serial_interval <= 0.0:
+        raise ValueError("serial interval must be positive")
+    e_prev = error_level(ctx.prev)
+    e = (error_level(ctx.curr) - e_prev) * (1.0 - e_prev)
+    return (np.log1p(np.where(e > -1.0, e, np.nan)) - np.log(s_ratio)) / serial_interval
+
+
 def rt_error(ctx: TwoPeriodContext, s_ratio: float, serial_interval: float) -> float:
     """Error of the estimated reproduction number at one step.
 
@@ -104,16 +120,10 @@ def rt_error(ctx: TwoPeriodContext, s_ratio: float, serial_interval: float) -> f
     the new-case series.  e <= -1 means the log-scale algebra breaks down and
     raises InfeasibleScenarioError.
     """
-    if not 0.0 < s_ratio <= 1.0:
-        raise ValueError("s_ratio must lie in (0, 1]")
-    if serial_interval <= 0.0:
-        raise ValueError("serial interval must be positive")
-    e_prev = error_level(ctx.prev)
-    e_curr = error_level(ctx.curr)
-    e = (e_curr - e_prev) * (1.0 - e_prev)
-    if e <= -1.0:
-        raise InfeasibleScenarioError(f"combined error {e:.6g} <= -1")
-    return (math.log1p(e) - math.log(s_ratio)) / serial_interval
+    value = float(_log_error(ctx, s_ratio, serial_interval))
+    if math.isnan(value):
+        raise InfeasibleScenarioError("combined error e <= -1: log(1 + e) undefined")
+    return value
 
 
 def period_stats_analytic(
@@ -126,15 +136,35 @@ def period_stats_analytic(
 
     rho comes from the binary closed form with Delta implied by (f, M, ybar),
     D_M from the measurement adjustment, and CV from the binary standard
-    deviation, sqrt((1-ybar)/ybar).
+    deviation, sqrt((1-ybar)/ybar).  Broadcasts over array ``ybar`` and
+    ``rel_rate``; scalars give float fields.
     """
-    if not 0.0 < ybar < 1.0:
+    if not _all((0.0 < ybar) & (ybar < 1.0)):
         raise ValueError("ybar must lie strictly in (0, 1)")
     sel = SelectionModel.from_relative_rate(f, rel_rate, ybar)
     rho = binary_rho(sel.delta, ybar, f)
     adj = d_m(sel, meas, ybar)
-    cv = math.sqrt((1.0 - ybar) / ybar)
+    cv = np.sqrt((1.0 - ybar) / ybar)
+    cv = cv if isinstance(cv, np.ndarray) else float(cv)
     return PeriodStats(rho=rho, d_m=adj, f=f, cv=cv, ybar=ybar)
+
+
+def _step_context(series: np.ndarray, f: float, rel_rate: float, meas: MeasurementModel):
+    """Steps t >= 1 with positive shares at t-1 and t, and those periods as arrays."""
+    t = np.nonzero((series[:-1] > 0.0) & (series[1:] > 0.0))[0] + 1
+    return t, TwoPeriodContext(
+        prev=period_stats_analytic(series[t - 1], f, rel_rate, meas),
+        curr=period_stats_analytic(series[t], f, rel_rate, meas),
+    )
+
+
+def _rt_error_series(k, susceptible, f, rel_rate, meas, serial_interval, exact_susceptible):
+    """``rt_error`` along new-case fractions ``k`` (``susceptible`` aligned), NaN where skipped."""
+    out = np.full(k.size, np.nan)
+    t, ctx = _step_context(k, f, rel_rate, meas)
+    s_ratio = susceptible[t] / susceptible[t - 1] if exact_susceptible else 1.0
+    out[t] = _log_error(ctx, s_ratio, serial_interval)
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,43 +203,21 @@ def bias_curves(
     if driver not in ("cases", "prevalence"):
         raise ValueError(f"unknown driver {driver!r}")
     k_frac = traj.new_case_fraction
-    if driver == "cases":
-        ratio_series = k_frac
-    else:
-        ratio_series = traj.prevalence[: k_frac.size]
+    ratio_series = k_frac if driver == "cases" else traj.prevalence[: k_frac.size]
     n_steps = k_frac.size
     rel_rates = tuple(rel_rates)
     ratio_out = np.full((len(rel_rates), n_steps), np.nan)
     rt_out = np.full((len(rel_rates), n_steps), np.nan)
-    flagged = set()
-
     for m_idx, m in enumerate(rel_rates):
-        for t in range(1, n_steps):
-            s_ratio = 1.0
-            if exact_susceptible:
-                s_ratio = traj.susceptible[t] / traj.susceptible[t - 1]
-            ok_ratio = ratio_series[t - 1] > 0.0 and ratio_series[t] > 0.0
-            ok_rt = k_frac[t - 1] > 0.0 and k_frac[t] > 0.0
-            if ok_ratio:
-                ctx = TwoPeriodContext(
-                    prev=period_stats_analytic(ratio_series[t - 1], f, m, meas),
-                    curr=period_stats_analytic(ratio_series[t], f, m, meas),
-                )
-                ratio_out[m_idx, t] = ratio_bias(ctx)
-            else:
-                flagged.add(t)
-            if ok_rt:
-                ctx_k = TwoPeriodContext(
-                    prev=period_stats_analytic(k_frac[t - 1], f, m, meas),
-                    curr=period_stats_analytic(k_frac[t], f, m, meas),
-                )
-                try:
-                    rt_out[m_idx, t] = rt_error(ctx_k, s_ratio, serial_interval)
-                except InfeasibleScenarioError:
-                    flagged.add(t)
-            else:
-                flagged.add(t)
+        t, ctx = _step_context(ratio_series, f, m, meas)
+        ratio_out[m_idx, t] = ratio_bias(ctx)
+        rt_out[m_idx] = _rt_error_series(
+            k_frac, traj.susceptible, f, m, meas, serial_interval, exact_susceptible
+        )
 
+    # Step 0 has no previous period: NaN by construction, never flagged.
+    skipped = np.isnan(ratio_out[:, 1:]) | np.isnan(rt_out[:, 1:])
+    flagged = tuple((np.nonzero(skipped.any(axis=0))[0] + 1).tolist())
     if flagged:
         warnings.warn(
             f"{len(flagged)} steps flagged (zero shares or log-domain failures)",
@@ -221,7 +229,7 @@ def bias_curves(
         rel_rates=rel_rates,
         ratio_bias=ratio_out,
         rt_bias=rt_out,
-        flagged=tuple(sorted(flagged)),
+        flagged=flagged,
     )
 
 
@@ -289,7 +297,7 @@ def solve_delta(target_rho_dm: float, ybar: float, f: float, meas: MeasurementMo
     lo = -f / (1.0 - ybar) * (1.0 - eps)  # keeps f1 > 0
     lo = max(lo, (f - 1.0) / ybar * (1.0 - eps))  # keeps f0 < 1
     # rho*D_M is a downward quadratic in Delta; stay on its increasing branch.
-    mix = meas.fp * (1.0 - ybar) + meas.fn * ybar
+    mix = _flip_mass(meas, ybar)
     curv = (ybar / (1.0 - ybar)) * mix / f
     if curv > 0.0:
         vertex = (1.0 + meas.fp + meas.fn) / (2.0 * curv)

@@ -55,6 +55,11 @@ __all__ = [
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
+def _all(ok) -> bool:
+    """``all`` for a bool or a bool array, without ``np.all``'s cost on scalars."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
 class DegenerateSampleError(RuntimeError):
     """A realization cannot support the requested statistic (n=0, n=N, ...)."""
 
@@ -101,7 +106,7 @@ class SelectionModel:
     """Status-dependent testing rates.
 
     ``f0`` is the probability a negative individual gets tested, ``f1`` the
-    probability a positive individual does.
+    probability a positive individual does.  Both may be arrays.
     """
 
     f0: float
@@ -110,7 +115,7 @@ class SelectionModel:
     def __post_init__(self):
         for name in ("f0", "f1"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not _all((0.0 <= v) & (v <= 1.0)):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
     @property
@@ -136,7 +141,7 @@ class SelectionModel:
         Inverts f = f1*prev + f0*(1-prev) with f1 = rel_rate * f0, i.e.
         f0 = f / (prev*(rel_rate - 1) + 1).
         """
-        if rel_rate <= 0.0:
+        if not _all(rel_rate > 0.0):
             raise ValueError("relative rate must be positive")
         f0 = f / (prevalence * (rel_rate - 1.0) + 1.0)
         return cls(f0=f0, f1=rel_rate * f0)
@@ -398,12 +403,12 @@ def _summarize(pop: FinitePopulation, counts: np.ndarray, functional: Functional
     """Mean and standard error of a functional over per-replication counts.
 
     Degenerate replications are skipped and counted; more than 50%
-    degenerate is an error.
+    degenerate, or fewer than 2 usable ones, is an error.
     """
     replications = counts.shape[0]
     stats, degenerate = stats_from_counts(pop, counts)
     bad = int(np.count_nonzero(degenerate))
-    if bad > replications // 2:
+    if bad > replications // 2 or replications - bad < 2:
         raise DegenerateSampleError(f"{bad}/{replications} replications degenerate")
     keep = ~degenerate
     if isinstance(functional, str):

@@ -1,28 +1,35 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from casebias import (
+    InfeasibleScenarioError,
     MeasurementModel,
     PERFECT_TEST,
     PopulationSummary,
     SelectionModel,
     SirParams,
+    TwoPeriodContext,
     count_diff_error,
     delta_diff_threshold,
     make_population,
     peak_time,
     percapita_diff_error,
+    period_stats_analytic,
     population_adjustment,
     prevalence_z,
     realize,
+    rt_error,
     rt_gap,
     rt_gap_csv,
     sir_simulate,
     starred_z,
+    true_rt,
     z_eff,
 )
+from test_epidemic import synthetic_traj
 
 
 def summary(size=1e6, f=0.02, ybar=0.1, rho=0.01, d=1.0):
@@ -219,3 +226,61 @@ def test_rt_gap_csv_schema():
     lines = rt_gap_csv(gap).strip().split("\n")
     assert lines[0] == "step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap"
     assert len(lines) == 13
+
+
+def _scalar_rt_gap(traj_a, traj_b, f, meas, m, serial, exact):
+    """Reference: ``rt_gap`` step by step through the scalar ``rt_error``."""
+    offsets = [int(np.nonzero(traj.new_cases > 0.0)[0][0]) for traj in (traj_a, traj_b)]
+    n = min(traj.new_cases.size - off for traj, off in zip((traj_a, traj_b), offsets))
+    trues, ests, flagged = [], [], {0}
+    for traj, off in zip((traj_a, traj_b), offsets):
+        true = true_rt(traj, serial)[off:off + n]
+        k = traj.new_case_fraction[off:]
+        est = np.full(n, np.nan)
+        for t in range(1, n):
+            if not (k[t - 1] > 0.0 and k[t] > 0.0) or math.isnan(true[t]):
+                flagged.add(t)
+                continue
+            s_ratio = traj.susceptible[off + t] / traj.susceptible[off + t - 1] if exact else 1.0
+            ctx = TwoPeriodContext(
+                prev=period_stats_analytic(float(k[t - 1]), f, m, meas),
+                curr=period_stats_analytic(float(k[t]), f, m, meas),
+            )
+            try:
+                est[t] = true[t] + rt_error(ctx, s_ratio, serial)
+            except InfeasibleScenarioError:
+                flagged.add(t)
+        trues.append(true)
+        ests.append(est)
+    return trues, ests, tuple(sorted(flagged))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("rel_rate", [0.5, 1.0, 4.0, 10.0])
+@pytest.mark.parametrize("source", ["sir", "hand"])
+def test_rt_gap_matches_scalar_formulas(source, rel_rate, exact):
+    if source == "sir":
+        traj_a, traj_b = fig4_trajectories(horizon=150)
+    else:
+        # Different first-case steps, zero shares inside both series, and with
+        # M = 10 combined errors below -1 after the large steps.
+        traj_a = synthetic_traj(
+            [0.0, 1000.0, 0.0, 2000.0, 170000.0, 130000.0, 5000.0, 0.0, 3000.0, 3500.0, 200.0]
+        )
+        traj_b = synthetic_traj(
+            [0.0, 0.0, 0.0, 50.0, 80.0, 40000.0, 30000.0, 0.0, 10.0, 20.0, 30.0, 40.0]
+        )
+    meas = MeasurementModel(0.01, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trues, ests, flagged = _scalar_rt_gap(traj_a, traj_b, 0.02, meas, rel_rate, 7.0, exact)
+        gap = rt_gap(traj_a, traj_b, 0.02, meas, rel_rate, 7.0, exact_susceptible=exact)
+    assert gap.flagged == flagged
+    assert all(type(t) is int for t in gap.flagged)
+    np.testing.assert_array_equal(gap.true_a, trues[0])
+    np.testing.assert_array_equal(gap.true_b, trues[1])
+    np.testing.assert_allclose(gap.est_a, ests[0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(gap.est_b, ests[1], rtol=1e-12, atol=0.0)
+    if source == "hand" and rel_rate == 10.0:
+        # A step with a true R_t in both countries is still flagged: e <= -1.
+        assert any(not np.isnan(gap.true_a[t] + gap.true_b[t]) for t in gap.flagged)

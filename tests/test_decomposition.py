@@ -114,6 +114,23 @@ def test_meas_adjustment_parameterizations_agree():
     rel_form = meas_adjustment_rel(2.0, MEAS_REF, 0.091)
     assert delta_form == pytest.approx(rel_form, rel=1e-12)
     assert delta_form == pytest.approx(0.9981467, abs=1e-6)
+    # The two forms agree wherever f0 > 0, for any rates and prevalence.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        ybar = rng.uniform(0.001, 0.999)
+        f0 = rng.uniform(1e-4, 1.0)
+        f1 = rng.uniform(0.0, 1.0)
+        meas = MeasurementModel(fp=rng.uniform(0.0, 0.45), fn=rng.uniform(0.0, 0.45))
+        delta_form = meas_adjustment(SelectionModel(f0, f1), meas, ybar)
+        rel_form = meas_adjustment_rel(f1 / f0, meas, ybar)
+        assert delta_form == pytest.approx(rel_form, rel=1e-10)
+
+
+@pytest.mark.parametrize("method", ["linear", "inverse"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_corrected_prevalence_rejects_nonfinite(bad, method):
+    with pytest.raises(ValueError):
+        corrected_prevalence(bad, MEAS_REF, method=method)
 
 
 def test_meas_adjustment_sign_law():

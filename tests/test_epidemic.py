@@ -30,6 +30,15 @@ def test_params_validation():
     assert fig_params().basic_reproduction == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["beta", "gamma_rec", "dt", "size", "s0", "i0", "r0"])
+def test_params_reject_nonfinite(name, bad):
+    fields = dict(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100.0, i0=100.0, r0=0.0, dt=0.1)
+    fields[name] = bad
+    with pytest.raises(ValueError):
+        SirParams(horizon=10, **fields)
+
+
 def test_disease_free_equilibrium():
     params = SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6, i0=0.0, dt=0.1, horizon=50)
     traj = sir_simulate(params)

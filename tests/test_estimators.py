@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from casebias import (
     survey_interval,
     true_rt,
 )
+from test_epidemic import synthetic_traj
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
 
@@ -153,6 +155,14 @@ def test_rt_error_infeasible():
         rt_error(TwoPeriodContext(prev=prev, curr=prev), 1.5, 7.0)
 
 
+def test_rt_error_just_inside_log_domain():
+    # e = -0.95 > -1: log(1 + e) is defined, so the error is finite.
+    prev = PeriodStats(rho=0.0, d_m=1.0, f=0.02, cv=1.0, ybar=0.01)
+    curr = PeriodStats(rho=-0.95 / 7.0, d_m=1.0, f=0.02, cv=1.0, ybar=0.01)
+    value = rt_error(TwoPeriodContext(prev=prev, curr=curr), 1.0, 7.0)
+    assert value == pytest.approx(math.log1p(-0.95) / 7.0, rel=1e-12)
+
+
 def test_exp_smooth_identity_and_constants():
     series = [3.0, 1.0, 4.0, 1.0, 5.0]
     assert np.allclose(exp_smooth(series, 1.0), series)
@@ -269,3 +279,83 @@ def test_period_stats_analytic_consistency():
     assert stats.cv == pytest.approx(math.sqrt(0.95 / 0.05), rel=1e-12)
     with pytest.raises(ValueError):
         period_stats_analytic(0.0, 0.02, 2.0, MEAS_REF)
+
+
+def test_period_stats_analytic_broadcasts_exactly():
+    ybar = np.linspace(0.001, 0.9, 37)
+    for m in (0.5, 2.0, 10.0):
+        stats = period_stats_analytic(ybar, 0.02, m, MEAS_REF)
+        for j, y in enumerate(ybar):
+            one = period_stats_analytic(float(y), 0.02, m, MEAS_REF)
+            for name in ("rho", "d_m", "cv"):
+                assert type(getattr(one, name)) is float
+                assert getattr(stats, name)[j] == getattr(one, name)
+    rel_rates = np.array([0.5, 1.0, 3.0, 10.0])
+    stats = period_stats_analytic(0.07, 0.02, rel_rates, MEAS_REF)
+    for j, m in enumerate(rel_rates):
+        one = period_stats_analytic(0.07, 0.02, float(m), MEAS_REF)
+        assert (stats.rho[j], stats.d_m[j]) == (one.rho, one.d_m)
+
+
+def _scalar_context(series, t, f, m, meas):
+    return TwoPeriodContext(
+        prev=period_stats_analytic(float(series[t - 1]), f, m, meas),
+        curr=period_stats_analytic(float(series[t]), f, m, meas),
+    )
+
+
+def _scalar_bias_curves(traj, f, meas, rel_rates, serial, driver, exact):
+    """Reference: every cell of ``bias_curves`` from the scalar formulas."""
+    k = traj.new_case_fraction
+    ratio_series = k if driver == "cases" else traj.prevalence[: k.size]
+    ratio = np.full((len(rel_rates), k.size), np.nan)
+    rt = np.full((len(rel_rates), k.size), np.nan)
+    flagged = set()
+    for m_idx, m in enumerate(rel_rates):
+        for t in range(1, k.size):
+            if ratio_series[t - 1] > 0.0 and ratio_series[t] > 0.0:
+                ratio[m_idx, t] = ratio_bias(_scalar_context(ratio_series, t, f, m, meas))
+            else:
+                flagged.add(t)
+            if not (k[t - 1] > 0.0 and k[t] > 0.0):
+                flagged.add(t)
+                continue
+            s_ratio = traj.susceptible[t] / traj.susceptible[t - 1] if exact else 1.0
+            try:
+                rt[m_idx, t] = rt_error(_scalar_context(k, t, f, m, meas), s_ratio, serial)
+            except InfeasibleScenarioError:
+                flagged.add(t)
+    return ratio, rt, tuple(sorted(flagged))
+
+
+# Zero shares at steps 0, 2 and 7; with M = 10 the drop after the large step
+# 4 sends the combined error below -1.
+HAND_CASES = [0.0, 1000.0, 0.0, 2000.0, 170000.0, 130000.0, 5000.0, 0.0, 3000.0, 3500.0, 200.0]
+CURVE_M_GRID = (0.5, 1.0, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("driver", ["cases", "prevalence"])
+@pytest.mark.parametrize("source", ["sir", "hand"])
+def test_bias_curves_match_scalar_formulas(source, driver, exact):
+    if source == "sir":
+        traj = sir_simulate(
+            SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, dt=0.1, horizon=150)
+        )
+    else:
+        traj = synthetic_traj(HAND_CASES)
+    ratio, rt, flagged = _scalar_bias_curves(traj, 0.02, MEAS_REF, CURVE_M_GRID, 7.0, driver, exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        curves = bias_curves(
+            traj, 0.02, MEAS_REF, CURVE_M_GRID, 7.0, driver=driver, exact_susceptible=exact
+        )
+    assert curves.flagged == flagged
+    assert all(type(t) is int for t in curves.flagged)
+    np.testing.assert_allclose(curves.ratio_bias, ratio, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(curves.rt_bias, rt, rtol=1e-12, atol=0.0)
+    if source == "hand":
+        # Some step has both shares positive and is still skipped: e <= -1.
+        k = traj.new_case_fraction
+        positive = (k[:-1] > 0.0) & (k[1:] > 0.0)
+        assert np.isnan(curves.rt_bias[-1, 1:][positive]).any()

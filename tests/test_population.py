@@ -177,6 +177,17 @@ def test_mc_expectation_skips_and_counts_degenerate():
     assert est.replications + est.degenerate == 400
 
 
+@pytest.mark.parametrize("sampler,seed", [(mc_expectation, 1), (mc_expectation_reference, 2)])
+def test_mc_expectation_needs_two_usable_replications(sampler, seed):
+    # One of the two replications draws an empty sample; the other alone has
+    # no standard error, so the request fails instead of returning a NaN.
+    pop = make_population(10, 0.5, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError):
+            sampler(pop, SelectionModel(0.05, 0.05), PERFECT_TEST, "f_hat", 2, seed=seed)
+
+
 def test_mc_expectation_fails_when_mostly_degenerate():
     pop = make_population(10, 0.5, seed=1)
     with pytest.raises(DegenerateSampleError):
