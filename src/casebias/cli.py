@@ -526,34 +526,18 @@ def _cmd_mc_verify(opts: dict, caught: list) -> int:
     sel = SelectionModel(f0=opts["f0"], f1=opts["f1"])
     meas = _meas(opts)
     checks = {}
-
-    est = mc_expectation_reference(
-        pop, srs, PERFECT_TEST, "rho_iy", opts["reps"], opts["seed"] + 1
-    )
-    checks["srs_rho_zero"] = {
-        "value": est.mean,
-        "bound": 3 * est.std_error,
-        "passed": abs(est.mean) < 3 * est.std_error,
-    }
-    est = mc_expectation_reference(
-        pop, srs, PERFECT_TEST, "rho_iy_sq", opts["reps"], opts["seed"] + 2
-    )
-    target = 1.0 / (pop.size - 1)
-    checks["srs_rho_sq"] = {
-        "value": est.mean,
-        "target": target,
-        "bound": 3 * est.std_error,
-        "passed": abs(est.mean - target) < 3 * est.std_error,
-    }
-    est = mc_expectation_reference(
-        pop, srs, PERFECT_TEST, "ybar_star", opts["reps"], opts["seed"] + 3
-    )
-    checks["epsem_unbiased"] = {
-        "value": est.mean,
-        "target": pop.prevalence,
-        "bound": 3 * est.std_error,
-        "passed": abs(est.mean - pop.prevalence) < 3 * est.std_error,
-    }
+    for name, functional, target, offset in (
+        ("srs_rho_zero", "rho_iy", None, 1),
+        ("srs_rho_sq", "rho_iy_sq", 1.0 / (pop.size - 1), 2),
+        ("epsem_unbiased", "ybar_star", pop.prevalence, 3),
+    ):
+        est = mc_expectation_reference(
+            pop, srs, PERFECT_TEST, functional, opts["reps"], opts["seed"] + offset
+        )
+        checks[name] = {"value": est.mean, "bound": 3 * est.std_error}
+        if target is not None:
+            checks[name]["target"] = target
+        checks[name]["passed"] = abs(est.mean - (target or 0.0)) < 3 * est.std_error
 
     worst = 0.0
     master = np.random.SeedSequence(opts["seed"] + 4)

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .population import MeasurementModel
-from .epidemic import SirTrajectory, true_rt
-from .estimators import _rt_error_series
+from .epidemic import SirTrajectory, _true_rt
+from .estimators import _rt_error_series, _warn_flagged
 
 __all__ = [
     "PopulationSummary",
@@ -46,7 +46,10 @@ class PopulationSummary:
     sigma_y: float
 
     def __post_init__(self):
-        if self.size < 2:
+        for name in ("size", "f", "ybar_hat", "rho", "d_m", "sigma_y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.size >= 2:
             raise ValueError("population size must be >= 2")
         if not 0.0 < self.f < 1.0:
             raise ValueError("f must lie strictly in (0, 1)")
@@ -138,8 +141,8 @@ def z_eff(
 
     (ybar1 - ybar2) / [ ((1-f)/f) * sigma * sqrt(1/(neff1-1) + 1/(neff2-1)) ].
     """
-    if neff1 <= 1.0 or neff2 <= 1.0:
-        raise ValueError("effective sample sizes must exceed 1")
+    if not (1.0 < neff1 < math.inf and 1.0 < neff2 < math.inf):
+        raise ValueError("effective sample sizes must be finite and exceed 1")
     if not 0.0 < f < 1.0:
         raise ValueError("f must lie strictly in (0, 1)")
     denom = (1.0 - f) / f * sigma_y * math.sqrt(
@@ -235,7 +238,8 @@ def rt_gap(
     Series are aligned so step 0 is each country's first case.  Each country's
     estimated value adds its own log-scale error, driven by its own new-case
     fraction; by construction est_gap - true_gap equals
-    (1/serial) * log((1+e_A)/(1+e_B)).
+    (1/serial) * log((1+e_A)/(1+e_B)).  ``flagged`` lists the NaN steps of
+    either estimate; flagged steps after step 0 raise one warning.
     """
     offsets = (_first_case_step(traj_a), _first_case_step(traj_b))
     n_steps = min(traj_a.new_cases.size - offsets[0], traj_b.new_cases.size - offsets[1])
@@ -246,10 +250,11 @@ def rt_gap(
         err = _rt_error_series(
             k, traj.susceptible[off:], f, rel_rate, meas, serial_interval, exact_susceptible
         )
-        true_vals.append(true_rt(traj, serial_interval)[off:off + n_steps])
+        true_vals.append(_true_rt(traj, serial_interval)[off:off + n_steps])
         est.append(true_vals[-1] + err)
     # Step 0 has no previous period, so both estimates are NaN there.
     flagged = np.nonzero(np.isnan(est[0]) | np.isnan(est[1]))[0]
+    _warn_flagged(flagged.size - 1)
     return RtGap(
         steps=np.arange(n_steps),
         true_a=true_vals[0],

@@ -159,18 +159,25 @@ def true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
     step adjoining a nonpositive count are NaN (skipped, with a warning when
     zeros were present).
     """
+    out = _true_rt(traj, serial_interval)
+    skipped = int(np.isnan(out[1:]).sum())
+    if skipped:
+        warnings.warn(
+            f"{skipped} steps skipped: nonpositive new-case counts",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return out
+
+
+def _true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
+    """``true_rt`` without the warning, for callers that report skipped steps themselves."""
     if serial_interval <= 0.0:
         raise ValueError("serial interval must be positive")
     k = traj.new_cases
     out = np.full(k.size, np.nan)
     valid = (k[1:] > 0.0) & (k[:-1] > 0.0)
     out[1:][valid] = 1.0 + np.log(k[1:][valid] / k[:-1][valid]) / serial_interval
-    if not valid.all():
-        warnings.warn(
-            f"{int((~valid).sum())} steps skipped: nonpositive new-case counts",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return out
 
 

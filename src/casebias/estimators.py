@@ -3,7 +3,8 @@
 Covers the two-period ratio estimator for rates of change, the log-ratio
 estimator of the effective reproduction number, bias curves along an SIR
 trajectory, exponential smoothing of reported series, and the inversion that
-recovers the relative testing rate from a survey-anchored prevalence error.
+recovers the relative testing rate from a survey-anchored prevalence error:
+rho*D_M is a quadratic in the testing differential, solved in closed form.
 
 ``period_stats_analytic``, ``error_level`` and ``ratio_bias`` broadcast over
 arrays of shares and relative rates (scalars still give floats), so a bias
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .population import MeasurementModel, SelectionModel, _all
 from .decomposition import _flip_mass, corrected_prevalence, d_m
@@ -158,6 +158,16 @@ def _step_context(series: np.ndarray, f: float, rel_rate: float, meas: Measureme
     )
 
 
+def _warn_flagged(n_flagged: int) -> None:
+    """The warning of ``bias_curves`` and ``rt_gap``, at their caller, for flagged steps."""
+    if n_flagged:
+        warnings.warn(
+            f"{n_flagged} steps flagged (zero shares or log-domain failures)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def _rt_error_series(k, susceptible, f, rel_rate, meas, serial_interval, exact_susceptible):
     """``rt_error`` along new-case fractions ``k`` (``susceptible`` aligned), NaN where skipped."""
     out = np.full(k.size, np.nan)
@@ -218,12 +228,7 @@ def bias_curves(
     # Step 0 has no previous period: NaN by construction, never flagged.
     skipped = np.isnan(ratio_out[:, 1:]) | np.isnan(rt_out[:, 1:])
     flagged = tuple((np.nonzero(skipped.any(axis=0))[0] + 1).tolist())
-    if flagged:
-        warnings.warn(
-            f"{len(flagged)} steps flagged (zero shares or log-domain failures)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_flagged(len(flagged))
     return BiasCurves(
         steps=np.arange(n_steps),
         rel_rates=rel_rates,
@@ -285,27 +290,21 @@ def forward_rho_dm(delta: float, ybar: float, f: float, meas: MeasurementModel) 
 def solve_delta(target_rho_dm: float, ybar: float, f: float, meas: MeasurementModel) -> float:
     """Invert the forward map for the testing differential Delta.
 
-    Brackets the root inside the feasible region (both implied testing rates
-    in (0, 1)), restricted to the branch below the vertex of the quadratic so
-    the map is monotone; monotonicity is verified on a grid before solving.
+    Since f0(1-Ybar) + f1*Ybar = f for every Delta, rho*D_M = c*Delta*(A - B*Delta)
+    with c = rho at Delta = 1, A = 1 + FP + FN and B = (Ybar/(1-Ybar)) *
+    (FP(1-Ybar)+FN*Ybar) / f.  The bracket keeps both testing rates in (0, 1) and,
+    when B > 0, ends at the vertex A/(2B); the root on that increasing branch is
+    2t / (A + sqrt(A^2 - 4Bt)) with t = target/c (t/A when B = 0).
     """
-    if target_rho_dm == 0.0:
-        return 0.0
     eps = 1e-12
     hi = f / ybar * (1.0 - eps)          # keeps f0 > 0
     hi = min(hi, (1.0 - f) / (1.0 - ybar) * (1.0 - eps))  # keeps f1 < 1
     lo = -f / (1.0 - ybar) * (1.0 - eps)  # keeps f1 > 0
     lo = max(lo, (f - 1.0) / ybar * (1.0 - eps))  # keeps f0 < 1
-    # rho*D_M is a downward quadratic in Delta; stay on its increasing branch.
-    mix = _flip_mass(meas, ybar)
-    curv = (ybar / (1.0 - ybar)) * mix / f
-    if curv > 0.0:
-        vertex = (1.0 + meas.fp + meas.fn) / (2.0 * curv)
-        hi = min(hi, vertex)
-    grid = np.linspace(lo, hi, 33)
-    values = np.array([forward_rho_dm(d, ybar, f, meas) for d in grid])
-    if not (np.diff(values) > 0.0).all():
-        raise InfeasibleScenarioError("forward map not monotone on the feasible bracket")
+    a = 1.0 + meas.fp + meas.fn
+    b = (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f
+    if b > 0.0:
+        hi = min(hi, a / (2.0 * b))
     g_lo = forward_rho_dm(lo, ybar, f, meas)
     g_hi = forward_rho_dm(hi, ybar, f, meas)
     if not g_lo <= target_rho_dm <= g_hi:
@@ -313,15 +312,9 @@ def solve_delta(target_rho_dm: float, ybar: float, f: float, meas: MeasurementMo
             f"no feasible differential: target {target_rho_dm:.6g} outside "
             f"[{g_lo:.6g}, {g_hi:.6g}]"
         )
-    return float(
-        brentq(
-            lambda d: forward_rho_dm(d, ybar, f, meas) - target_rho_dm,
-            lo,
-            hi,
-            xtol=1e-16,
-            rtol=8.9e-16,
-        )
-    )
+    t = target_rho_dm / binary_rho(1.0, ybar, f)
+    # At g_hi with hi at the vertex, rounding can push the discriminant below 0.
+    return 2.0 * t / (a + math.sqrt(max(a * a - 4.0 * b * t, 0.0)))
 
 
 def _invert_once(error: float, ybar: float, f: float, meas: MeasurementModel):
@@ -390,10 +383,20 @@ def estimate_relative_sampling(
 
 
 def survey_interval(p_raw: float, n: int, z: float = 2.0) -> tuple:
-    """Sampling interval p +- z*sqrt(p(1-p)/n) for a raw survey share."""
+    """Sampling interval p +- z*sqrt(p(1-p)/n) for a raw survey share.
+
+    Ends outside [0, 1] are clamped and flagged with a warning, as in ``corrected_prevalence``.
+    """
     if not 0.0 < p_raw < 1.0:
         raise ValueError("survey share must lie strictly in (0, 1)")
     if n < 2:
         raise ValueError("survey size must be >= 2")
     half = z * math.sqrt(p_raw * (1.0 - p_raw) / n)
-    return (p_raw - half, p_raw + half)
+    lo, hi = p_raw - half, p_raw + half
+    if lo < 0.0 or hi > 1.0:
+        warnings.warn(
+            f"survey interval [{lo:.6g}, {hi:.6g}] outside [0, 1]; clamping",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return (max(lo, 0.0), min(hi, 1.0))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -255,3 +258,26 @@ def test_emitted_csvs_reparse_under_their_schema(tmp_path):
 def test_bad_flag_value_names_option(tmp_path, capsys):
     assert run(tmp_path, "neff", "--f", "not_a_number") == 1
     assert "--f" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["n1", "f1", "ybar1", "rho1", "d1", "neff1"])
+def test_compare_rejects_non_finite_input(tmp_path, option, value):
+    args = {
+        "n1": "328e6", "n2": "38e6", "f1": "0.023", "f2": "0.023",
+        "ybar1": "0.1", "ybar2": "0.1", "neff1": "15", "neff2": "15",
+    }
+    args[option] = value
+    argv = ["compare"] + [tok for key, val in args.items() for tok in (f"--{key}", val)]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "compare.json").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, casebias.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

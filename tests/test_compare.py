@@ -284,3 +284,58 @@ def test_rt_gap_matches_scalar_formulas(source, rel_rate, exact):
     if source == "hand" and rel_rate == 10.0:
         # A step with a true R_t in both countries is still flagged: e <= -1.
         assert any(not np.isnan(gap.true_a[t] + gap.true_b[t]) for t in gap.flagged)
+
+
+@pytest.mark.parametrize(
+    "cases_a, cases_b, rel_rate",
+    [
+        # Zero new-case steps in both series.
+        (
+            [0.0, 1000.0, 0.0, 2000.0, 170000.0, 130000.0, 5000.0, 0.0, 3000.0, 3500.0, 200.0],
+            [0.0, 0.0, 0.0, 50.0, 80.0, 40000.0, 30000.0, 0.0, 10.0, 20.0, 30.0, 40.0],
+            4.0,
+        ),
+        # Positive series whose only skipped steps are log-domain failures.
+        (
+            [1000.0, 2000.0, 170000.0, 130000.0, 5000.0, 3000.0, 3500.0, 200.0],
+            [50.0, 80.0, 40000.0, 30000.0, 10.0, 20.0, 30.0, 40.0],
+            10.0,
+        ),
+    ],
+)
+def test_rt_gap_warns_once_at_the_caller(cases_a, cases_b, rel_rate):
+    traj_a, traj_b = synthetic_traj(cases_a), synthetic_traj(cases_b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gap = rt_gap(traj_a, traj_b, 0.02, MeasurementModel(0.01, 0.2), rel_rate, 7.0)
+    assert len(gap.flagged) > 1
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__
+    assert str(caught[0].message) == (
+        f"{len(gap.flagged) - 1} steps flagged (zero shares or log-domain failures)"
+    )
+
+
+def test_rt_gap_silent_when_only_step_zero_is_flagged():
+    traj_a, traj_b = fig4_trajectories(horizon=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = rt_gap(traj_a, traj_b, 0.02, MeasurementModel(0.01, 0.2), 4.0, 7.0)
+    assert gap.flagged == (0,)
+
+
+@pytest.mark.parametrize("field", ["size", "f", "ybar_hat", "rho", "d_m", "sigma_y"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_population_summary_rejects_non_finite(field, value):
+    fields = dict(size=1e6, f=0.02, ybar_hat=0.1, rho=0.01, d_m=1.0, sigma_y=0.3)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PopulationSummary(**fields)
+
+
+@pytest.mark.parametrize("neff", [math.nan, math.inf, 1.0])
+def test_z_eff_rejects_bad_effective_sizes(neff):
+    with pytest.raises(ValueError):
+        z_eff(0.1, 0.12, neff, 100.0, 0.02, 0.3)
+    with pytest.raises(ValueError):
+        z_eff(0.1, 0.12, 100.0, neff, 0.02, 0.3)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from casebias import (
     InfeasibleScenarioError,
@@ -245,6 +247,88 @@ def test_inversion_round_trip():
         assert recovered == pytest.approx(delta_true, rel=1e-8)
 
 
+# Deterministic draws, and no example database written to the checkout.
+INVERSION = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def inversion_scenarios(draw):
+    ybar = draw(st.floats(0.001, 0.999))
+    f = draw(st.floats(1e-4, 0.99))
+    meas = MeasurementModel(fp=draw(st.floats(0.0, 0.2)), fn=draw(st.floats(0.0, 0.45)))
+    return ybar, f, meas
+
+
+def _feasible_bracket(ybar, f, meas):
+    """``solve_delta``'s bracket: both testing rates in (0, 1), capped at the vertex."""
+    hi = min(f / ybar, (1.0 - f) / (1.0 - ybar)) * (1.0 - 1e-12)
+    lo = max(-f / (1.0 - ybar), (f - 1.0) / ybar) * (1.0 - 1e-12)
+    a = 1.0 + meas.fp + meas.fn
+    b = (ybar / (1.0 - ybar)) * (meas.fp * (1.0 - ybar) + meas.fn * ybar) / f
+    return lo, (min(hi, a / (2.0 * b)) if b > 0.0 else hi)
+
+
+def _brentq_delta(target, ybar, f, meas):
+    """Reference root of ``forward_rho_dm`` on the feasible bracket."""
+    lo, hi = _feasible_bracket(ybar, f, meas)
+    return brentq(
+        lambda d: forward_rho_dm(d, ybar, f, meas) - target, lo, hi, xtol=1e-16, rtol=8.9e-16
+    )
+
+
+@INVERSION
+@given(inversion_scenarios(), st.floats(0.0, 0.95))
+def test_inversion_round_trip_and_monotone_map(scenario, u):
+    ybar, f, meas = scenario
+    lo, hi = _feasible_bracket(ybar, f, meas)
+    delta = lo + u * (hi - lo)
+    # The forward map increases on the bracket: the solver needs no check of its own.
+    grid = forward_rho_dm(np.linspace(lo, hi, 33), ybar, f, meas)
+    assert (np.diff(grid) > 0.0).all()
+    recovered = solve_delta(forward_rho_dm(delta, ybar, f, meas), ybar, f, meas)
+    assert recovered == pytest.approx(delta, rel=1e-8, abs=1e-15)
+
+
+# Targets stop short of g_hi: at a vertex the root moves with the square root of
+# the target's rounding error (see test_solve_delta_at_the_vertex).
+@INVERSION
+@given(inversion_scenarios(), st.floats(0.0, 0.99), st.floats(0.0, 0.99))
+def test_solve_delta_nondecreasing_and_matches_brentq(scenario, u, v):
+    ybar, f, meas = scenario
+    lo, hi = _feasible_bracket(ybar, f, meas)
+    g_lo, g_hi = forward_rho_dm(lo, ybar, f, meas), forward_rho_dm(hi, ybar, f, meas)
+    t1, t2 = sorted(g_lo + w * (g_hi - g_lo) for w in (u, v))
+    d1, d2 = solve_delta(t1, ybar, f, meas), solve_delta(t2, ybar, f, meas)
+    assert d1 <= d2
+    for target, delta in ((t1, d1), (t2, d2)):
+        assert delta == pytest.approx(_brentq_delta(target, ybar, f, meas), rel=1e-8, abs=1e-15)
+
+
+@INVERSION
+@given(st.floats(0.001, 0.999), st.floats(1e-4, 0.99), st.floats(0.0, 1.0))
+def test_solve_delta_perfect_test_is_linear(ybar, f, u):
+    lo, hi = _feasible_bracket(ybar, f, PERFECT_TEST)
+    target = forward_rho_dm(min(lo + u * (hi - lo), hi), ybar, f, PERFECT_TEST)
+    assert solve_delta(target, ybar, f, PERFECT_TEST) == target / binary_rho(1.0, ybar, f)
+
+
+@INVERSION
+@given(st.floats(0.5, 0.99), st.floats(0.05, 0.95), st.floats(0.0, 0.2), st.floats(0.2, 0.45))
+def test_solve_delta_at_the_vertex(ybar, f, fp, fn):
+    meas = MeasurementModel(fp=fp, fn=fn)
+    lo, hi = _feasible_bracket(ybar, f, meas)
+    bound = min(f / ybar, (1.0 - f) / (1.0 - ybar)) * (1.0 - 1e-12)
+    assume(hi < bound)
+    g_hi = forward_rho_dm(hi, ybar, f, meas)
+    delta = solve_delta(g_hi, ybar, f, meas)
+    assert math.isfinite(delta)
+    assert delta == pytest.approx(hi, rel=1e-6)
+    g_lo = forward_rho_dm(lo, ybar, f, meas)
+    for outside in (np.nextafter(g_hi, np.inf), np.nextafter(g_lo, -np.inf)):
+        with pytest.raises(InfeasibleScenarioError, match="no feasible differential"):
+            solve_delta(float(outside), ybar, f, meas)
+
+
 def test_inversion_negative_error():
     result = estimate_relative_sampling(0.2, 0.15, 0.001, MEAS_REF)
     assert result.delta < 0.0
@@ -270,6 +354,20 @@ def test_survey_interval():
     assert hi - lo == pytest.approx(2 * half, rel=1e-12)
     with pytest.raises(ValueError):
         survey_interval(0.0, 3000)
+
+
+def test_survey_interval_clamps_and_flags():
+    half = 2.0 * math.sqrt(0.01 * 0.99 / 10.0)
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        lo, hi = survey_interval(0.01, 10)
+    assert lo == 0.0
+    assert hi == pytest.approx(0.01 + half, rel=1e-12)
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        lo, hi = survey_interval(0.99, 10)
+    assert (lo, hi) == (pytest.approx(0.99 - half, rel=1e-12), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        survey_interval(0.139, 3000)
 
 
 def test_period_stats_analytic_consistency():
