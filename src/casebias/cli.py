@@ -461,7 +461,9 @@ def _cmd_compare(opts: dict, caught: list) -> int:
             ybar_hat=ybar,
             rho=opts[f"rho{i}"],
             d_m=opts[f"d{i}"],
-            sigma_y=math.sqrt(ybar * (1.0 - ybar)),
+            # PopulationSummary rejects a ybar outside [0, 1] and names ybar_hat;
+            # the 0.0 stand-in keeps the square root from failing before it can.
+            sigma_y=math.sqrt(ybar * (1.0 - ybar)) if 0.0 <= ybar <= 1.0 else 0.0,
         )
 
     a, b = summary("1"), summary("2")

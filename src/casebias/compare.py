@@ -53,6 +53,8 @@ class PopulationSummary:
             raise ValueError("population size must be >= 2")
         if not 0.0 < self.f < 1.0:
             raise ValueError("f must lie strictly in (0, 1)")
+        if not 0.0 <= self.ybar_hat <= 1.0:
+            raise ValueError(f"ybar_hat must lie in [0, 1], got {self.ybar_hat}")
 
     @property
     def n(self) -> float:

@@ -10,6 +10,7 @@ separate quantity and is never defaulted from it.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -170,10 +171,15 @@ def true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
     return out
 
 
+def _check_serial_interval(serial_interval: float) -> None:
+    """Reject a serial interval that is not finite and positive (NaN fails too)."""
+    if not (math.isfinite(serial_interval) and serial_interval > 0.0):
+        raise ValueError(f"serial interval must be finite and positive, got {serial_interval}")
+
+
 def _true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
     """``true_rt`` without the warning, for callers that report skipped steps themselves."""
-    if serial_interval <= 0.0:
-        raise ValueError("serial interval must be positive")
+    _check_serial_interval(serial_interval)
     k = traj.new_cases
     out = np.full(k.size, np.nan)
     valid = (k[1:] > 0.0) & (k[:-1] > 0.0)

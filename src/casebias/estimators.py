@@ -22,7 +22,7 @@ import numpy as np
 from .population import MeasurementModel, SelectionModel, _all
 from .decomposition import _flip_mass, corrected_prevalence, d_m
 from .effsize import binary_rho
-from .epidemic import SirTrajectory
+from .epidemic import SirTrajectory, _check_serial_interval
 
 __all__ = [
     "InfeasibleScenarioError",
@@ -96,8 +96,7 @@ def rt_estimate(ybar_t: float, ybar_prev: float, serial_interval: float) -> floa
     """Reproduction-number estimate 1 + log(ybar_t/ybar_{t-1}) / serial_interval."""
     if ybar_t <= 0.0 or ybar_prev <= 0.0:
         raise ValueError("both inputs must be positive")
-    if serial_interval <= 0.0:
-        raise ValueError("serial interval must be positive")
+    _check_serial_interval(serial_interval)
     return 1.0 + math.log(ybar_t / ybar_prev) / serial_interval
 
 
@@ -105,8 +104,7 @@ def _log_error(ctx: TwoPeriodContext, s_ratio, serial_interval: float):
     """``rt_error`` for scalar or array contexts, with NaN where e <= -1."""
     if not _all((0.0 < s_ratio) & (s_ratio <= 1.0)):
         raise ValueError("s_ratio must lie in (0, 1]")
-    if serial_interval <= 0.0:
-        raise ValueError("serial interval must be positive")
+    _check_serial_interval(serial_interval)
     e_prev = error_level(ctx.prev)
     e = (error_level(ctx.curr) - e_prev) * (1.0 - e_prev)
     return (np.log1p(np.where(e > -1.0, e, np.nan)) - np.log(s_ratio)) / serial_interval

@@ -13,7 +13,11 @@ counts into statistics, array in and array out, with a degenerate mask.  Two
 samplers feed it:
 
 - ``realize`` is the per-individual reference sampler; ``joint_counts`` counts
-  its cells and ``empirical_stats`` applies the kernel to them.
+  its cells and ``empirical_stats`` applies the kernel to them.  It draws
+  both uniform vectors into one buffer and compares them with the two scalar
+  rates, so it builds no per-individual rate array; its stream is the one
+  ``rng.random(N) < np.where(positive, f1, f0)`` followed by the same for
+  (FN, FP) would give.
 - ``mc_expectation`` draws the counts directly.  Given the population, the
   positives' cells and the negatives' cells are two independent 4-cell
   multinomials, so all replications come from two batched draws at a cost
@@ -244,6 +248,20 @@ def make_population(size: int, prevalence: float, seed: SeedLike) -> FinitePopul
     return FinitePopulation(outcomes)
 
 
+def _below(u: np.ndarray, pos: np.ndarray, rate_pos: float, rate_neg: float) -> np.ndarray:
+    """``u < np.where(pos, rate_pos, rate_neg)`` without the per-individual rates.
+
+    With lo <= hi the two rates, u < lo implies u < hi, so
+    ``(u < lo) | ((u < hi) & mask)``, where ``mask`` marks the individuals
+    whose rate is hi, compares every individual with its own rate.
+    """
+    lo, hi = min(rate_pos, rate_neg), max(rate_pos, rate_neg)
+    below = u < hi
+    below &= pos if rate_pos >= rate_neg else ~pos
+    below |= u < lo
+    return below
+
+
 def realize(
     pop: FinitePopulation,
     sel: SelectionModel,
@@ -252,16 +270,20 @@ def realize(
 ) -> Realization:
     """Draw selection and flip indicators for every individual.
 
-    Selection uniforms are drawn before flip uniforms, so a given seed fixes
-    the realization exactly.
+    Individual i is selected when its uniform is below its selection rate
+    (``f1`` if positive, ``f0`` if not), and flipped when a second uniform is
+    below its flip rate (``fn`` or ``fp``).  The N selection uniforms are
+    drawn before the N flip uniforms, into one reused buffer, so a given seed
+    fixes the realization exactly and a ``Generator`` advances by 2N draws.
+    The rates are scalars.
     """
     rng = np.random.default_rng(seed)
     pos = pop.positive
-    p_select = np.where(pos, sel.f1, sel.f0)
-    selected = rng.random(pop.size) < p_select
-    p_flip = np.where(pos, meas.fn, meas.fp)
-    flipped = rng.random(pop.size) < p_flip
-    observed = (pos ^ flipped).astype(np.int8)
+    u = rng.random(pop.size)
+    selected = _below(u, pos, sel.f1, sel.f0)
+    rng.random(out=u)
+    flipped = _below(u, pos, meas.fn, meas.fp)
+    observed = (pos ^ flipped).view(np.int8)
     return Realization(selected=selected, flipped=flipped, observed=observed)
 
 

@@ -273,6 +273,29 @@ def test_compare_rejects_non_finite_input(tmp_path, option, value):
     assert not (tmp_path / "compare.json").exists()
 
 
+@pytest.mark.parametrize("value", ["-0.1", "2"])
+@pytest.mark.parametrize("option", ["ybar1", "ybar2"])
+def test_compare_rejects_prevalence_outside_unit_interval(tmp_path, capsys, option, value):
+    args = {
+        "n1": "328e6", "n2": "38e6", "f1": "0.023", "f2": "0.023", "ybar1": "0.1", "ybar2": "0.1",
+    }
+    args[option] = value
+    argv = ["compare"] + [tok for key, val in args.items() for tok in (f"--{key}", val)]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "compare.json").exists()
+    assert "ybar_hat must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, filename", [("bias-curves", "bias_curves.csv"), ("rt-gap", "rt_gap.csv")]
+)
+def test_serial_interval_must_be_finite(tmp_path, capsys, command, filename, value):
+    assert run(tmp_path, command, "--serial-interval", value, "--horizon", "20") == 1
+    assert not (tmp_path / filename).exists()
+    assert "serial interval" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, casebias.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

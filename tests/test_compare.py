@@ -333,6 +333,12 @@ def test_population_summary_rejects_non_finite(field, value):
         PopulationSummary(**fields)
 
 
+@pytest.mark.parametrize("ybar", [-0.1, 1.5])
+def test_population_summary_rejects_prevalence_outside_unit_interval(ybar):
+    with pytest.raises(ValueError, match=r"ybar_hat must lie in \[0, 1\]"):
+        PopulationSummary(size=1e6, f=0.02, ybar_hat=ybar, rho=0.01, d_m=1.0, sigma_y=0.3)
+
+
 @pytest.mark.parametrize("neff", [math.nan, math.inf, 1.0])
 def test_z_eff_rejects_bad_effective_sizes(neff):
     with pytest.raises(ValueError):

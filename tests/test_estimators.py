@@ -165,6 +165,17 @@ def test_rt_error_just_inside_log_domain():
     assert value == pytest.approx(math.log1p(-0.95) / 7.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("serial", [math.nan, math.inf, -math.inf, 0.0])
+def test_serial_interval_must_be_finite_and_positive(serial):
+    ctx = TwoPeriodContext(prev=period(0.01), curr=period(0.011))
+    with pytest.raises(ValueError, match="serial interval"):
+        rt_estimate(0.02, 0.01, serial)
+    with pytest.raises(ValueError, match="serial interval"):
+        rt_error(ctx, 1.0, serial)
+    with pytest.raises(ValueError, match="serial interval"):
+        true_rt(synthetic_traj(np.full(10, 5.0)), serial)
+
+
 def test_exp_smooth_identity_and_constants():
     series = [3.0, 1.0, 4.0, 1.0, 5.0]
     assert np.allclose(exp_smooth(series, 1.0), series)

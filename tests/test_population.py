@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from casebias import (
     DegenerateSampleError,
@@ -106,6 +108,108 @@ def test_realize_reproducible():
     assert np.array_equal(a.selected, b.selected)
     assert np.array_equal(a.flipped, b.flipped)
     assert np.array_equal(a.observed, b.observed)
+
+
+def _realize_reference(pop, sel, meas, seed):
+    """``realize`` written with per-individual rate arrays: the stream it must keep."""
+    rng = np.random.default_rng(seed)
+    pos = pop.positive
+    selected = rng.random(pop.size) < np.where(pos, sel.f1, sel.f0)
+    flipped = rng.random(pop.size) < np.where(pos, meas.fn, meas.fp)
+    return selected, flipped, (pos ^ flipped).astype(np.int8)
+
+
+def assert_realize_matches_reference(pop, sel, meas, seed, reference_seed):
+    r = realize(pop, sel, meas, seed)
+    want = _realize_reference(pop, sel, meas, reference_seed)
+    for name, expected in zip(("selected", "flipped", "observed"), want):
+        got = getattr(r, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+        assert not got.flags.writeable, name
+    assert r.observed.dtype == np.int8
+    return r
+
+
+SEED_FORMS = {
+    "int": lambda: 2024,
+    "seed-sequence": lambda: np.random.SeedSequence(2024),
+    "generator": lambda: np.random.default_rng(2024),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SEED_FORMS))
+@pytest.mark.parametrize(
+    "meas", [PERFECT_TEST, MeasurementModel(0.01, 0.15), MeasurementModel(0.2, 0.05)]
+)
+@pytest.mark.parametrize(
+    "rates", [(0.02, 0.05), (0.05, 0.02), (0.03, 0.03), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+)
+def test_realize_equals_rate_array_reference(rates, meas, form):
+    pop = make_population(500, 0.3, seed=4)
+    sel = SelectionModel(*rates)
+    seed = SEED_FORMS[form]()
+    assert_realize_matches_reference(pop, sel, meas, seed, SEED_FORMS[form]())
+    if form == "generator":
+        # Both uniform vectors come from the stream: it advanced by exactly 2N doubles.
+        fresh = np.random.default_rng(2024)
+        fresh.random(2 * pop.size)
+        assert seed.random() == fresh.random()
+
+
+@st.composite
+def realization_scenarios(draw):
+    size = draw(st.integers(2, 2000))
+    prevalence = draw(st.floats(0.0, 1.0))
+    sel = SelectionModel(f0=draw(st.floats(0.0, 1.0)), f1=draw(st.floats(0.0, 1.0)))
+    fp = draw(st.floats(0.0, 0.99))
+    fn = draw(st.floats(0.0, 0.99))
+    assume(fp + fn < 1.0)
+    return size, prevalence, sel, MeasurementModel(fp, fn), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(realization_scenarios())
+def test_realize_keeps_reference_stream_and_exact_identity(scenario):
+    size, prevalence, sel, meas, seed = scenario
+    pop = make_population(size, prevalence, seed=seed)
+    r = assert_realize_matches_reference(pop, sel, meas, seed + 1, seed + 1)
+    try:
+        stats = empirical_stats(pop, r)
+    except DegenerateSampleError:
+        return
+    # Criterion 09's rule: relative residual below 1e-10, with a 1e-2 floor.
+    lhs = stats.ybar_star - pop.prevalence
+    residual = abs(decompose_realization(pop, stats).total_error - lhs)
+    assert residual / max(abs(lhs), 1e-2) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "sel, meas",
+    [
+        (SelectionModel(0.0217, 0.0434), MeasurementModel(0.005, 0.172)),
+        (SelectionModel(0.05, 0.02), MeasurementModel(0.2, 0.05)),
+    ],
+)
+def test_realize_traced_peak_memory(sel, meas):
+    # numpy reports its buffers to tracemalloc.  The bound is one float buffer
+    # and four bool arrays, plus 64 KiB for small objects.
+    size = 100_000
+    pop = make_population(size, 0.091, seed=1)
+    realize(pop, sel, meas, seed=1)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        r = realize(pop, sel, meas, seed=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert r.selected.size == size
+    assert peak <= 8 * size + 4 * size + 64 * 1024
 
 
 def test_realized_fraction_matches_mixture():
