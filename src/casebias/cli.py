@@ -398,6 +398,11 @@ def _cmd_rt_gap(opts: dict, caught: list) -> int:
 
 
 def _cmd_sensitivity(opts: dict, caught: list) -> int:
+    # Checked even when unused: every input lands in sensitivity.json.
+    if not 0.0 < opts["alpha"] <= 1.0:
+        raise _CliError(f"--alpha must lie in (0, 1], got {opts['alpha']}")
+    if opts["survey_raw"] is not None and not math.isfinite(opts["survey_raw"]):
+        raise _CliError(f"--survey-raw must be finite, got {opts['survey_raw']}")
     meas = _meas(opts)
     observed = opts["observed_prev"]
     if opts["series"] is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
-from .estimators import _rt_error_series, _warn_flagged
+from .estimators import _rt_error_series, _step_context, _warn_flagged
 
 __all__ = [
     "PopulationSummary",
@@ -249,8 +249,9 @@ def rt_gap(
     true_vals, est = [], []
     for traj, off in zip((traj_a, traj_b), offsets):
         k = traj.new_case_fraction[off:off + n_steps]
+        t, ctx = _step_context(k, f, rel_rate, meas)
         err = _rt_error_series(
-            k, traj.susceptible[off:], f, rel_rate, meas, serial_interval, exact_susceptible
+            n_steps, t, ctx, traj.susceptible[off:], serial_interval, exact_susceptible
         )
         true_vals.append(_true_rt(traj, serial_interval)[off:off + n_steps])
         est.append(true_vals[-1] + err)
@@ -269,12 +270,9 @@ def rt_gap(
 
 def rt_gap_csv(gap: RtGap) -> str:
     """CSV rows step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap."""
+    cols = (gap.true_a, gap.true_b, gap.est_a, gap.est_b, gap.true_gap, gap.est_gap)
     lines = ["step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap"]
-    tg = gap.true_gap
-    eg = gap.est_gap
-    for t in gap.steps:
-        lines.append(
-            f"{t},{gap.true_a[t]:.6g},{gap.true_b[t]:.6g},{gap.est_a[t]:.6g},"
-            f"{gap.est_b[t]:.6g},{tg[t]:.6g},{eg[t]:.6g}"
-        )
+    lines += [f"{t},{a:.6g},{b:.6g},{c:.6g},{d:.6g},{tg:.6g},{eg:.6g}"
+              for t, a, b, c, d, tg, eg in zip(gap.steps.tolist(),
+                                               *(col[gap.steps].tolist() for col in cols))]
     return "\n".join(lines) + "\n"

@@ -4,9 +4,9 @@ Fixed-step fourth-order Runge-Kutta on
 
     dS/dt = -beta*S*I/N,   dI/dt = beta*S*I/N - gamma*I,   dR/dt = +gamma*I.
 
-The stages run on Python floats.  The removal rate ``gamma_rec`` is a model
-parameter; the serial interval used by reproduction-number estimators is a
-separate quantity and is never defaulted from it.
+The four stages are written out on local Python floats.  The removal rate
+``gamma_rec`` is a model parameter; the serial interval of the
+reproduction-number estimators is separate and never defaulted from it.
 """
 from __future__ import annotations
 
@@ -88,11 +88,6 @@ class SirTrajectory:
         return self.new_cases / self.size
 
 
-def _rhs(s: float, i: float, beta: float, gamma: float, size: float) -> tuple:
-    force = beta * s * i / size
-    return -force, force - gamma * i, gamma * i
-
-
 # Internal RK4 substeps per reported step: keeps the reported grid at dt while
 # pushing the truncation error well under the 1e-6 * N step-halving budget.
 _SUBSTEPS = 4
@@ -106,21 +101,25 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
     derivatives sum to zero), so it is checked, not enforced by projection.
     Negative compartments flag a too-large step.
     """
-    n_steps = params.horizon
-    args = (params.beta, params.gamma_rec, params.size)
-    state = (float(params.s0), float(params.i0), float(params.r0))
-    rows = [state]
+    beta, gamma, size = params.beta, params.gamma_rec, params.size
+    s, i, r = float(params.s0), float(params.i0), float(params.r0)
+    rows = [(s, i, r)]
     h = params.dt / _SUBSTEPS
-    for _ in range(n_steps):
+    hh, h6 = 0.5 * h, h / 6.0
+    for _ in range(params.horizon):
         for _ in range(_SUBSTEPS):
-            s, i, _r = state
-            k1 = _rhs(s, i, *args)
-            k2 = _rhs(s + 0.5 * h * k1[0], i + 0.5 * h * k1[1], *args)
-            k3 = _rhs(s + 0.5 * h * k2[0], i + 0.5 * h * k2[1], *args)
-            k4 = _rhs(s + h * k3[0], i + h * k3[1], *args)
-            state = tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
-        rows.append(state)
+            # Stage k: force f_k = beta*S*I/N and removal g_k = gamma*I at the stage point.
+            f1, g1 = beta * s * i / size, gamma * i
+            s2, i2 = s - hh * f1, i + hh * (f1 - g1)
+            f2, g2 = beta * s2 * i2 / size, gamma * i2
+            s3, i3 = s - hh * f2, i + hh * (f2 - g2)
+            f3, g3 = beta * s3 * i3 / size, gamma * i3
+            s4, i4 = s - h * f3, i + h * (f3 - g3)
+            f4, g4 = beta * s4 * i4 / size, gamma * i4
+            s, i, r = (s - h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+                       i + h6 * ((f1 - g1) + 2.0 * (f2 - g2) + 2.0 * (f3 - g3) + (f4 - g4)),
+                       r + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
+        rows.append((s, i, r))
     path = np.array(rows)
 
     if not np.isfinite(path).all() or path.min() < 0.0:
@@ -129,17 +128,16 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
             RuntimeWarning,
             stacklevel=2,
         )
-    drift = np.abs(path.sum(axis=1) - params.size).max()
-    if not drift <= 1e-9 * params.size:
+    drift = np.abs(path.sum(axis=1) - size).max()
+    if not drift <= 1e-9 * size:
         warnings.warn(
             f"conservation drift {drift:.3g} exceeds 1e-9 * N",
             RuntimeWarning,
             stacklevel=2,
         )
-    times = np.arange(n_steps + 1) * params.dt
     susceptible = path[:, 0]
     return SirTrajectory(
-        times=times,
+        times=np.arange(params.horizon + 1) * params.dt,
         susceptible=susceptible,
         infected=path[:, 1],
         removed=path[:, 2],
@@ -209,11 +207,10 @@ def trajectory_csv(traj: SirTrajectory) -> str:
     Each row carries the state at the start of the step and the new cases
     produced during it.
     """
+    n = traj.new_cases.size
+    cols = (traj.times, traj.susceptible, traj.infected, traj.removed, traj.new_cases,
+            traj.prevalence)
     lines = ["time,S,I,R,K,prevalence"]
-    prev = traj.prevalence
-    for t in range(traj.new_cases.size):
-        lines.append(
-            f"{traj.times[t]:.6g},{traj.susceptible[t]:.6g},{traj.infected[t]:.6g},"
-            f"{traj.removed[t]:.6g},{traj.new_cases[t]:.6g},{prev[t]:.6g}"
-        )
+    lines += [f"{t:.6g},{s:.6g},{i:.6g},{r:.6g},{k:.6g},{p:.6g}"
+              for t, s, i, r, k, p in zip(*(c[:n].tolist() for c in cols))]
     return "\n".join(lines) + "\n"

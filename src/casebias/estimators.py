@@ -166,10 +166,9 @@ def _warn_flagged(n_flagged: int) -> None:
         )
 
 
-def _rt_error_series(k, susceptible, f, rel_rate, meas, serial_interval, exact_susceptible):
-    """``rt_error`` along new-case fractions ``k`` (``susceptible`` aligned), NaN where skipped."""
-    out = np.full(k.size, np.nan)
-    t, ctx = _step_context(k, f, rel_rate, meas)
+def _rt_error_series(n_steps, t, ctx, susceptible, serial_interval, exact_susceptible):
+    """``rt_error`` at the new-case steps ``t`` of ``_step_context``, NaN elsewhere."""
+    out = np.full(n_steps, np.nan)
     s_ratio = susceptible[t] / susceptible[t - 1] if exact_susceptible else 1.0
     out[t] = _log_error(ctx, s_ratio, serial_interval)
     return out
@@ -219,8 +218,10 @@ def bias_curves(
     for m_idx, m in enumerate(rel_rates):
         t, ctx = _step_context(ratio_series, f, m, meas)
         ratio_out[m_idx, t] = ratio_bias(ctx)
+        if driver == "prevalence":
+            t, ctx = _step_context(k_frac, f, m, meas)
         rt_out[m_idx] = _rt_error_series(
-            k_frac, traj.susceptible, f, m, meas, serial_interval, exact_susceptible
+            n_steps, t, ctx, traj.susceptible, serial_interval, exact_susceptible
         )
 
     # Step 0 has no previous period: NaN by construction, never flagged.
@@ -239,11 +240,10 @@ def bias_curves(
 def bias_curves_csv(curves: BiasCurves) -> str:
     """CSV rows step,M,ratio_bias,rt_bias (NaN cells rendered as nan)."""
     lines = ["step,M,ratio_bias,rt_bias"]
-    for m_idx, m in enumerate(curves.rel_rates):
-        for t in curves.steps:
-            lines.append(
-                f"{t},{m:g},{curves.ratio_bias[m_idx, t]:.6g},{curves.rt_bias[m_idx, t]:.6g}"
-            )
+    steps = curves.steps.tolist()
+    for m, ratio, rt in zip(curves.rel_rates, curves.ratio_bias[:, curves.steps].tolist(),
+                            curves.rt_bias[:, curves.steps].tolist()):
+        lines += [f"{t},{m:g},{a:.6g},{b:.6g}" for t, a, b in zip(steps, ratio, rt)]
     return "\n".join(lines) + "\n"
 
 

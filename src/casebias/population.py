@@ -87,7 +87,7 @@ class FinitePopulation:
         arr = np.asarray(self.outcomes, dtype=np.int8)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("population needs a 1-d outcome vector of length >= 2")
-        if not np.isin(arr, (0, 1)).all():
+        if not (arr.view(np.uint8) <= 1).all():  # -1..-128 read as 255..128
             raise ValueError("outcomes must be 0/1")
         arr.flags.writeable = False
         positive = arr == 1
@@ -145,8 +145,8 @@ class SelectionModel:
         Inverts f = f1*prev + f0*(1-prev) with f1 = rel_rate * f0, i.e.
         f0 = f / (prev*(rel_rate - 1) + 1).
         """
-        if not _all(rel_rate > 0.0):
-            raise ValueError("relative rate must be positive")
+        if not _all((0.0 < rel_rate) & (rel_rate < np.inf)):
+            raise ValueError(f"relative rate must be finite and positive, got {rel_rate}")
         f0 = f / (prevalence * (rel_rate - 1.0) + 1.0)
         return cls(f0=f0, f1=rel_rate * f0)
 

@@ -296,6 +296,40 @@ def test_serial_interval_must_be_finite(tmp_path, capsys, command, filename, val
     assert "serial interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "2,inf", "2,-inf", "0"])
+def test_bias_curves_rejects_non_finite_relative_rate(tmp_path, capsys, value):
+    assert run(tmp_path, "bias-curves", "--m-grid", value, "--horizon", "20") == 1
+    assert not (tmp_path / "bias_curves.csv").exists()
+    err = capsys.readouterr().err
+    assert "relative rate must be finite and positive" in err
+    assert len(err) < 200
+
+
+SENSITIVITY_ARGS = ["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172",
+                    "--observed-prev", "0.325"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.2", "1.5"])
+def test_sensitivity_rejects_alpha_outside_unit_interval(tmp_path, capsys, value):
+    # --alpha is checked even on the direct path, which does not smooth.
+    assert run(tmp_path, *SENSITIVITY_ARGS, "--survey-prev", "0.159", f"--alpha={value}") == 1
+    assert not (tmp_path / "sensitivity.json").exists()
+    assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("survey", [[], ["--survey-prev", "0.159"]])
+def test_sensitivity_rejects_non_finite_survey_raw(tmp_path, capsys, survey, value):
+    assert run(tmp_path, *SENSITIVITY_ARGS, *survey, f"--survey-raw={value}") == 1
+    assert not (tmp_path / "sensitivity.json").exists()
+    assert "--survey-raw" in capsys.readouterr().err
+
+
+def test_sensitivity_accepts_alpha_at_one(tmp_path):
+    assert run(tmp_path, *SENSITIVITY_ARGS, "--survey-prev", "0.159", "--alpha", "1") == 0
+    assert (tmp_path / "sensitivity.json").exists()
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, casebias.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -9,6 +9,7 @@ from casebias import (
     MeasurementModel,
     PERFECT_TEST,
     PopulationSummary,
+    RtGap,
     SelectionModel,
     SirParams,
     TwoPeriodContext,
@@ -345,3 +346,50 @@ def test_z_eff_rejects_bad_effective_sizes(neff):
         z_eff(0.1, 0.12, neff, 100.0, 0.02, 0.3)
     with pytest.raises(ValueError):
         z_eff(0.1, 0.12, 100.0, neff, 0.02, 0.3)
+
+
+def reference_rt_gap_csv(gap):
+    """The cell-indexing renderer that ``rt_gap_csv`` replaces."""
+    lines = ["step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap"]
+    tg = gap.true_gap
+    eg = gap.est_gap
+    for t in gap.steps:
+        lines.append(
+            f"{t},{gap.true_a[t]:.6g},{gap.true_b[t]:.6g},{gap.est_a[t]:.6g},"
+            f"{gap.est_b[t]:.6g},{tg[t]:.6g},{eg[t]:.6g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("rel_rate", [0.5, 4.0, 10.0])
+def test_rt_gap_csv_equals_cell_indexing_reference(rel_rate, exact):
+    for traj_a, traj_b in (
+        fig4_trajectories(),
+        fig4_trajectories(horizon=60)[::-1],
+        (synthetic_traj([0.0, 1000.0, 0.0, 2000.0, 170000.0, 130000.0, 5000.0, 0.0, 3000.0]),
+         synthetic_traj([0.0, 0.0, 50.0, 80.0, 40000.0, 30000.0, 0.0, 10.0, 20.0, 30.0])),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gap = rt_gap(
+                traj_a, traj_b, 0.02, MeasurementModel(0.01, 0.2), rel_rate, 7.0, exact
+            )
+        assert rt_gap_csv(gap) == reference_rt_gap_csv(gap)
+
+
+def test_rt_gap_csv_renders_special_cells_like_reference():
+    cells = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.23456789e12, -0.5])
+    gap = RtGap(
+        steps=np.arange(cells.size),
+        true_a=cells,
+        true_b=cells[::-1],
+        est_a=np.roll(cells, 3),
+        est_b=-cells,
+        flagged=(0,),
+    )
+    with np.errstate(invalid="ignore"):
+        expected = reference_rt_gap_csv(gap)
+        text = rt_gap_csv(gap)
+    assert text == expected
+    assert "nan" in text and "-inf" in text and ",-0," in text

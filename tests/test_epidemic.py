@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casebias import (
     PeakTimes,
     SirParams,
+    SirTrajectory,
     new_cases_instant,
     peak_time,
     sir_simulate,
@@ -114,8 +117,6 @@ def test_too_large_step_flagged():
 
 def synthetic_traj(new_cases):
     """Trajectory wrapper around a hand-built new-case series."""
-    from casebias import SirTrajectory
-
     k = np.asarray(new_cases, dtype=np.float64)
     s = np.concatenate(([1e6], 1e6 - np.cumsum(k)))
     zeros = np.zeros(k.size + 1)
@@ -165,3 +166,139 @@ def test_trajectory_csv_schema():
     assert lines[0] == "time,S,I,R,K,prevalence"
     assert len(lines) == 6  # header + one row per step
     assert len(lines[1].split(",")) == 6
+
+
+def _reference_rhs(s, i, beta, gamma, size):
+    force = beta * s * i / size
+    return -force, force - gamma * i, gamma * i
+
+
+def reference_sir_paths(params):
+    """The tuple-per-stage RK4 that ``sir_simulate`` writes out: same floats, same order."""
+    args = (params.beta, params.gamma_rec, params.size)
+    state = (float(params.s0), float(params.i0), float(params.r0))
+    rows = [state]
+    h = params.dt / 4
+    for _ in range(params.horizon):
+        for _ in range(4):
+            s, i, _r = state
+            k1 = _reference_rhs(s, i, *args)
+            k2 = _reference_rhs(s + 0.5 * h * k1[0], i + 0.5 * h * k1[1], *args)
+            k3 = _reference_rhs(s + 0.5 * h * k2[0], i + 0.5 * h * k2[1], *args)
+            k4 = _reference_rhs(s + h * k3[0], i + h * k3[1], *args)
+            state = tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                          for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+        rows.append(state)
+    path = np.array(rows)
+    return {
+        "times": np.arange(params.horizon + 1) * params.dt,
+        "susceptible": path[:, 0],
+        "infected": path[:, 1],
+        "removed": path[:, 2],
+        "new_cases": path[:-1, 0] - path[1:, 0],
+    }
+
+
+def _random_params(rng):
+    size = float(10.0 ** rng.uniform(2.0, 9.0))
+    i0 = float(size * rng.choice([1e-6, 1e-4, 1e-2, 0.3]) + rng.uniform(0.0, 5.0))
+    r0 = float((size - i0) * rng.choice([0.0, 0.0, 0.1, 0.5]))
+    return SirParams(
+        beta=float(rng.uniform(0.05, 4.0)),
+        gamma_rec=float(rng.uniform(0.02, 1.5)),
+        size=size,
+        s0=size - i0 - r0,
+        i0=i0,
+        r0=r0,
+        dt=float(rng.choice([0.05, 0.1, 0.25, 0.5, 1.0])),
+        horizon=int(rng.integers(1, 601)),
+    )
+
+
+def test_sir_simulate_equals_tuple_rk4_reference_bit_for_bit():
+    rng = np.random.default_rng(20201)
+    for _ in range(220):
+        params = _random_params(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            traj = sir_simulate(params)
+        for name, expected in reference_sir_paths(params).items():
+            assert np.array_equal(getattr(traj, name), expected, equal_nan=True), (params, name)
+
+
+def test_sir_simulate_reference_covers_edge_states():
+    edge = [
+        SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6, i0=0.0, horizon=20),
+        SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=0.0, i0=1e6, horizon=20),
+        SirParams(beta=1.4, gamma_rec=0.2, size=100, s0=99, i0=1, r0=0, horizon=1),
+        SirParams(beta=3.0, gamma_rec=0.02, size=1e9, s0=1e9 - 1, i0=1.0, dt=1.0, horizon=600),
+    ]
+    for params in edge:
+        traj = sir_simulate(params)
+        for name, expected in reference_sir_paths(params).items():
+            assert np.array_equal(getattr(traj, name), expected), (params, name)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    beta=st.floats(0.05, 3.0),
+    gamma_rec=st.floats(0.02, 1.0),
+    dt=st.floats(0.01, 0.5),
+    size=st.floats(10.0, 1e9),
+    horizon=st.integers(1, 500),
+    i_share=st.floats(0.0, 1.0),
+    r_share=st.floats(0.0, 1.0),
+)
+def test_sir_conserves_population_and_stays_nonnegative(
+    beta, gamma_rec, dt, size, horizon, i_share, r_share
+):
+    i0 = size * i_share
+    r0 = (size - i0) * r_share
+    params = SirParams(beta=beta, gamma_rec=gamma_rec, size=size, s0=size - i0 - r0, i0=i0,
+                       r0=r0, dt=dt, horizon=horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = sir_simulate(params)
+    total = traj.susceptible + traj.infected + traj.removed
+    assert np.abs(total - size).max() <= 1e-9 * size
+    for path in (traj.susceptible, traj.infected, traj.removed):
+        assert path.min() >= 0.0
+
+
+def reference_trajectory_csv(traj):
+    """The cell-indexing renderer that ``trajectory_csv`` replaces."""
+    lines = ["time,S,I,R,K,prevalence"]
+    prev = traj.prevalence
+    for t in range(traj.new_cases.size):
+        lines.append(
+            f"{traj.times[t]:.6g},{traj.susceptible[t]:.6g},{traj.infected[t]:.6g},"
+            f"{traj.removed[t]:.6g},{traj.new_cases[t]:.6g},{prev[t]:.6g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_equals_cell_indexing_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        params = _random_params(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            traj = sir_simulate(params)
+        assert trajectory_csv(traj) == reference_trajectory_csv(traj)
+    traj = sir_simulate(fig_params())
+    assert trajectory_csv(traj) == reference_trajectory_csv(traj)
+
+
+def test_trajectory_csv_renders_special_cells_like_reference():
+    cells = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 123456789.0, -2.5])
+    traj = SirTrajectory(
+        times=np.append(cells, 9.0),
+        susceptible=np.append(cells[::-1], 1.0),
+        infected=np.append(np.roll(cells, 3), 1.0),
+        removed=np.append(np.roll(cells, 5), 1.0),
+        new_cases=np.roll(cells, 1),
+        size=2.0,
+    )
+    text = trajectory_csv(traj)
+    assert text == reference_trajectory_csv(traj)
+    assert "nan" in text and "-inf" in text and "-0" in text

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from casebias import (
+    BiasCurves,
     InfeasibleScenarioError,
     MeasurementModel,
     PERFECT_TEST,
@@ -468,3 +469,60 @@ def test_bias_curves_match_scalar_formulas(source, driver, exact):
         k = traj.new_case_fraction
         positive = (k[:-1] > 0.0) & (k[1:] > 0.0)
         assert np.isnan(curves.rt_bias[-1, 1:][positive]).any()
+
+
+def test_bias_curves_reuse_the_case_context_bit_for_bit():
+    # The rt curve follows the new-case series under either driver; the cases
+    # driver reuses the ratio curve's step context, the prevalence driver builds it.
+    for traj in (
+        sir_simulate(SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100)),
+        synthetic_traj(HAND_CASES),
+    ):
+        for exact in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cases, prevalence = (
+                    bias_curves(traj, 0.02, MEAS_REF, CURVE_M_GRID, 7.0, driver, exact)
+                    for driver in ("cases", "prevalence")
+                )
+            assert np.array_equal(cases.rt_bias, prevalence.rt_bias, equal_nan=True)
+
+
+def reference_bias_curves_csv(curves):
+    """The cell-indexing renderer that ``bias_curves_csv`` replaces."""
+    lines = ["step,M,ratio_bias,rt_bias"]
+    for m_idx, m in enumerate(curves.rel_rates):
+        for t in curves.steps:
+            lines.append(
+                f"{t},{m:g},{curves.ratio_bias[m_idx, t]:.6g},{curves.rt_bias[m_idx, t]:.6g}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("driver", ["cases", "prevalence"])
+def test_bias_curves_csv_equals_cell_indexing_reference(driver, exact):
+    for beta, horizon in ((1.4, 400), (0.9, 250), (2.5, 60)):
+        traj = sir_simulate(SirParams(
+            beta=beta, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, horizon=horizon
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            curves = bias_curves(
+                traj, 0.02, MEAS_REF, (0.5, 1.0, 2.0, 4.0, 10.0), 7.0, driver, exact
+            )
+        assert bias_curves_csv(curves) == reference_bias_curves_csv(curves)
+
+
+def test_bias_curves_csv_renders_special_cells_like_reference():
+    cells = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.23456789e12, -0.5])
+    curves = BiasCurves(
+        steps=np.arange(cells.size),
+        rel_rates=(2.0, np.float64(0.125), 1e-7, 3),
+        ratio_bias=np.stack([cells, cells[::-1], np.roll(cells, 2), -cells]),
+        rt_bias=np.stack([np.roll(cells, 1), cells, cells[::-1], np.roll(cells, 5)]),
+        flagged=(),
+    )
+    text = bias_curves_csv(curves)
+    assert text == reference_bias_curves_csv(curves)
+    assert "nan" in text and "-inf" in text and ",-0," in text

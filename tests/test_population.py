@@ -78,6 +78,26 @@ def test_selection_from_relative_rate_inverts_overall_fraction():
     assert sel.f1 == pytest.approx(2.0 * sel.f0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_selection_from_relative_rate_rejects_non_finite_or_nonpositive(rate):
+    with pytest.raises(ValueError, match=f"finite and positive, got {rate}"):
+        SelectionModel.from_relative_rate(0.02, rate, 0.1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        SelectionModel.from_relative_rate(0.02, np.array([2.0, rate]), 0.1)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 127, -128])
+def test_population_rejects_non_binary_outcomes(bad):
+    outcomes = np.zeros(10, dtype=np.int8)
+    outcomes[[1, 7]] = 1
+    outcomes[4] = bad
+    with pytest.raises(ValueError, match="outcomes must be 0/1"):
+        FinitePopulation(outcomes)
+    with pytest.raises(ValueError, match="outcomes must be 0/1"):
+        FinitePopulation(outcomes.astype(np.int64)[::-1])
+    assert FinitePopulation(np.where(outcomes == bad, 0, outcomes)).total == 2
+
+
 def test_measurement_model_validation():
     with pytest.raises(ValueError):
         MeasurementModel(fp=0.6, fn=0.5)
