@@ -39,6 +39,7 @@ from .decomposition import (
     rho_ipz_from_rho_iy,
     sigma_pz_analytic,
     trial_effect_bias,
+    verify_identity,
 )
 from .effsize import (
     CapacityTradeoff,

@@ -37,6 +37,7 @@ from .decomposition import (
     imperfect_error,
     rho_ipz_from_rho_iy,
     sigma_pz_analytic,
+    verify_identity,
 )
 from .effsize import EffSizeScenario, binary_rho, format_neff_table, neff_table
 from .epidemic import SirParams, sir_simulate, trajectory_csv
@@ -401,8 +402,10 @@ def _cmd_sensitivity(opts: dict, caught: list) -> int:
     # Checked even when unused: every input lands in sensitivity.json.
     if not 0.0 < opts["alpha"] <= 1.0:
         raise _CliError(f"--alpha must lie in (0, 1], got {opts['alpha']}")
-    if opts["survey_raw"] is not None and not math.isfinite(opts["survey_raw"]):
-        raise _CliError(f"--survey-raw must be finite, got {opts['survey_raw']}")
+    if opts["survey_raw"] is not None and not 0.0 <= opts["survey_raw"] <= 1.0:
+        raise _CliError(f"--survey-raw must lie in [0, 1], got {opts['survey_raw']}")
+    if opts["ybar_anchor"] is not None and not 0.0 < opts["ybar_anchor"] < 1.0:
+        raise _CliError(f"--ybar-anchor must lie strictly in (0, 1), got {opts['ybar_anchor']}")
     meas = _meas(opts)
     observed = opts["observed_prev"]
     if opts["series"] is not None:
@@ -546,20 +549,7 @@ def _cmd_mc_verify(opts: dict, caught: list) -> int:
             checks[name]["target"] = target
         checks[name]["passed"] = abs(est.mean - (target or 0.0)) < 3 * est.std_error
 
-    worst = 0.0
-    master = np.random.SeedSequence(opts["seed"] + 4)
-    used = 0
-    for child in master.spawn(opts["reps"]):
-        r = realize(pop, sel, meas, child)
-        try:
-            stats = empirical_stats(pop, r)
-        except DegenerateSampleError:
-            continue
-        dec = decompose_realization(pop, stats)
-        lhs = stats.ybar_star - pop.prevalence
-        denom = max(abs(lhs), 1e-2)
-        worst = max(worst, abs(dec.total_error - lhs) / denom)
-        used += 1
+    worst, used = verify_identity(pop, sel, meas, opts["reps"], opts["seed"] + 4)
     checks["exact_identity"] = {
         "worst_relative_residual": worst,
         "replications": used,

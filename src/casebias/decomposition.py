@@ -11,6 +11,9 @@ and misclassification, and a pure misclassification bias term:
 with Z = 1 - 2Y.  Plugging realized rates and correlations into the right
 hand side reproduces the left to machine precision; plugging model rates
 gives the expectation-level prediction.
+
+``verify_identity`` checks the identity on a batch of seeded realizations
+with one ``stats_from_counts`` call and one array ``decompose_realization``.
 """
 from __future__ import annotations
 
@@ -24,7 +27,11 @@ from .population import (
     FinitePopulation,
     MeasurementModel,
     SelectionModel,
+    SeedLike,
     _all,
+    _realized_counts,
+    _usable,
+    stats_from_counts,
 )
 
 __all__ = [
@@ -33,6 +40,7 @@ __all__ = [
     "selection_error",
     "imperfect_error",
     "decompose_realization",
+    "verify_identity",
     "sigma_pz_analytic",
     "rho_ipz_from_rho_iy",
     "meas_adjustment",
@@ -73,8 +81,12 @@ class AdjustmentFactors:
 
 
 def _check_fraction(f: float) -> None:
-    if not 0.0 < f < 1.0:
+    if not _all((0.0 < f) & (f < 1.0)):
         raise ValueError(f"sampling fraction must lie strictly in (0, 1), got {f}")
+
+
+def _float_or_array(value):
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def selection_error(rho_iy: float, f: float, sigma_y: float) -> float:
@@ -93,7 +105,7 @@ def imperfect_error(
     fn: float,
     sigma_y: float | None = None,
 ) -> ErrorDecomposition:
-    """Three-term decomposition of ybar* - Ybar from analytic inputs.
+    """Three-term decomposition of ybar* - Ybar; broadcasts over array inputs.
 
     Parameters
     ----------
@@ -107,22 +119,16 @@ def imperfect_error(
     """
     _check_fraction(f)
     if sigma_y is None:
-        sigma_y = float(np.sqrt(ybar * (1.0 - ybar)))
+        sigma_y = np.sqrt(ybar * (1.0 - ybar))
     dq = rho_iy * sigma_y
     inter = rho_ipz * sigma_pz
     bias = np.sqrt(f / (1.0 - f)) * (fp - (fp + fn) * ybar)
     total = np.sqrt((1.0 - f) / f) * (dq + inter + bias)
-    return ErrorDecomposition(
-        data_quality_term=float(dq),
-        interaction_term=float(inter),
-        bias_term=float(bias),
-        total_error=float(total),
-        f=f,
-    )
+    return ErrorDecomposition(*map(_float_or_array, (dq, inter, bias, total, f)))
 
 
 def decompose_realization(pop: FinitePopulation, stats: EmpiricalStats) -> ErrorDecomposition:
-    """Decomposition with realized rates; total_error equals ybar* - Ybar exactly."""
+    """Decomposition with realized (scalar or array) rates; total_error = ybar* - Ybar exactly."""
     return imperfect_error(
         ybar=pop.prevalence,
         f=stats.f_hat,
@@ -133,6 +139,22 @@ def decompose_realization(pop: FinitePopulation, stats: EmpiricalStats) -> Error
         fn=stats.fn_hat,
         sigma_y=pop.sigma_y,
     )
+
+
+def verify_identity(pop: FinitePopulation, sel: SelectionModel, meas: MeasurementModel,
+                    replications: int, seed: SeedLike) -> tuple[float, int]:
+    """``(worst, usable)``: the exact identity on ``mc_expectation_reference``'s realizations.
+
+    ``worst`` is max |total_error - (ybar* - Ybar)| / max(|ybar* - Ybar|, 1e-2) over
+    the ``usable`` (non-degenerate) replications, 0.0 when there are none.
+    """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    stats = _usable(*stats_from_counts(pop, _realized_counts(pop, sel, meas, replications, seed)))
+    lhs = stats.ybar_star - pop.prevalence
+    residual = np.abs(decompose_realization(pop, stats).total_error - lhs)
+    residual /= np.maximum(np.abs(lhs), 1e-2)
+    return float(residual.max(initial=0.0)), residual.size
 
 
 def _flip_mass(meas: MeasurementModel, ybar):
@@ -197,8 +219,7 @@ def _bracket(base: float, sel: SelectionModel, meas: MeasurementModel, ybar):
     f = sel.overall_fraction(ybar)
     if not _all(f > 0.0):
         raise ValueError("overall sampling fraction must be positive")
-    value = base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f
-    return value if isinstance(value, np.ndarray) else float(value)
+    return _float_or_array(base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f)
 
 
 def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:

@@ -351,6 +351,8 @@ def estimate_relative_sampling(
     for name, v in (("survey", survey_prev_adjusted), ("observed", observed_prev_adjusted)):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{name} prevalence must lie strictly in (0, 1)")
+    if ybar_anchor is not None and not 0.0 < ybar_anchor < 1.0:
+        raise ValueError(f"ybar_anchor must lie strictly in (0, 1), got {ybar_anchor}")
     anchor = survey_prev_adjusted if ybar_anchor is None else ybar_anchor
     error = observed_prev_adjusted - survey_prev_adjusted
 

@@ -22,7 +22,8 @@ samplers feed it:
   positives' cells and the negatives' cells are two independent 4-cell
   multinomials, so all replications come from two batched draws at a cost
   independent of N.  ``mc_expectation_reference`` computes the same estimate
-  from one ``realize`` per replication instead.
+  from one ``realize`` per replication instead; ``decomposition.verify_identity``
+  checks the exact identity on those same seeded realizations.
 
 Seeds (``SeedLike``) may be an int, a ``SeedSequence`` or a ``Generator``.  A
 ``Generator`` is drawn from, so it advances; the other forms start a fresh
@@ -421,6 +422,12 @@ def _check_request(functional: Functional, replications: int) -> None:
         )
 
 
+def _usable(stats: EmpiricalStats, degenerate: np.ndarray) -> EmpiricalStats:
+    """The non-degenerate entries of array-valued stats."""
+    keep = ~degenerate
+    return EmpiricalStats(*(getattr(stats, name)[keep] for name in _FIELDS))
+
+
 def _summarize(pop: FinitePopulation, counts: np.ndarray, functional: Functional) -> MCEstimate:
     """Mean and standard error of a functional over per-replication counts.
 
@@ -432,13 +439,12 @@ def _summarize(pop: FinitePopulation, counts: np.ndarray, functional: Functional
     bad = int(np.count_nonzero(degenerate))
     if bad > replications // 2 or replications - bad < 2:
         raise DegenerateSampleError(f"{bad}/{replications} replications degenerate")
-    keep = ~degenerate
+    kept = _usable(stats, degenerate)
     if isinstance(functional, str):
-        kept = EmpiricalStats(*(getattr(stats, name)[keep] for name in _FIELDS))
         sample = np.asarray(FUNCTIONALS[functional](pop, kept), dtype=np.float64)
     else:
         # Callables get one scalar EmpiricalStats per replication.
-        columns = [getattr(stats, name)[keep].tolist() for name in _FIELDS]
+        columns = [getattr(kept, name).tolist() for name in _FIELDS]
         sample = np.array(
             [functional(pop, EmpiricalStats(*row)) for row in zip(*columns)], dtype=np.float64
         )
@@ -503,18 +509,22 @@ def mc_expectation_reference(
 ) -> MCEstimate:
     """``mc_expectation`` on the per-individual reference sampler.
 
-    Replication i is ``realize(pop, sel, meas, children[i])`` with
-    ``children = SeedSequence(seed).spawn(replications)`` (a SeedSequence
-    seed is spawned from directly; a Generator seeds a SeedSequence from one
-    draw).  Its cells go through the same kernel and summary as
+    Replication i is ``realize(pop, sel, meas, children[i])``, where
+    ``children`` are the ``replications`` children ``SeedSequence(seed)``
+    spawns (a SeedSequence seed is spawned from directly; a Generator seeds a
+    SeedSequence from one draw).  Its cells go through the same kernel and summary as
     ``mc_expectation``.  It costs O(N) per replication; use it where the
     realization stream itself must be reproduced.
     """
     _check_request(functional, replications)
+    return _summarize(pop, _realized_counts(pop, sel, meas, replications, seed), functional)
+
+
+def _realized_counts(pop, sel, meas, replications: int, seed: SeedLike) -> np.ndarray:
+    """``joint_counts`` of one ``realize`` per child seed (see ``mc_expectation_reference``)."""
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2**63))
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    counts = np.array(
+    return np.array(
         [joint_counts(pop, realize(pop, sel, meas, child)) for child in master.spawn(replications)]
     )
-    return _summarize(pop, counts, functional)

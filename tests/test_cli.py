@@ -325,6 +325,28 @@ def test_sensitivity_rejects_non_finite_survey_raw(tmp_path, capsys, survey, val
     assert "--survey-raw" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1.5", "-0.2", "1.0000001"])
+@pytest.mark.parametrize("survey", [[], ["--survey-prev", "0.159"]])
+def test_sensitivity_rejects_survey_raw_outside_unit_interval(tmp_path, capsys, survey, value):
+    assert run(tmp_path, *SENSITIVITY_ARGS, *survey, f"--survey-raw={value}") == 1
+    assert not (tmp_path / "sensitivity.json").exists()
+    assert "--survey-raw must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_sensitivity_accepts_unused_survey_raw_at_the_ends(tmp_path, value):
+    assert run(tmp_path, *SENSITIVITY_ARGS, "--survey-prev", "0.159", f"--survey-raw={value}") == 0
+    assert (tmp_path / "sensitivity.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1", "2", "-0.5", "nan"])
+def test_sensitivity_rejects_ybar_anchor_outside_unit_interval(tmp_path, capsys, value):
+    argv = [*SENSITIVITY_ARGS, "--survey-prev", "0.159", f"--ybar-anchor={value}"]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "sensitivity.json").exists()
+    assert "--ybar-anchor must lie strictly in (0, 1)" in capsys.readouterr().err
+
+
 def test_sensitivity_accepts_alpha_at_one(tmp_path):
     assert run(tmp_path, *SENSITIVITY_ARGS, "--survey-prev", "0.159", "--alpha", "1") == 0
     assert (tmp_path / "sensitivity.json").exists()

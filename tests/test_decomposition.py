@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from casebias import (
+    DegenerateSampleError,
+    EmpiricalStats,
+    ErrorDecomposition,
     MeasurementModel,
     PERFECT_TEST,
     SelectionModel,
@@ -11,7 +15,10 @@ from casebias import (
     contaminated_prevalence,
     corrected_prevalence,
     d_m,
+    decompose_realization,
+    empirical_stats,
     imperfect_error,
+    joint_counts,
     make_population,
     mc_expectation,
     meas_adjustment,
@@ -19,7 +26,10 @@ from casebias import (
     selection_error,
     rho_ipz_from_rho_iy,
     sigma_pz_analytic,
+    realize,
+    stats_from_counts,
     trial_effect_bias,
+    verify_identity,
 )
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
@@ -211,3 +221,126 @@ def test_trial_effect_bias():
     assert trial_effect_bias(1.0, 0.1, 0.5, 1.0) == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError):
         trial_effect_bias(1.0, 0.1, 0.0, 1.0)
+
+
+DECOMPOSITION_FIELDS = [f.name for f in dataclasses.fields(ErrorDecomposition)]
+
+
+def test_scalar_decompositions_return_python_floats():
+    dec = imperfect_error(ybar=0.1, f=0.02, rho_iy=0.04, rho_ipz=-0.01, sigma_pz=0.05, fp=0.01, fn=0.1)
+    assert all(type(getattr(dec, name)) is float for name in DECOMPOSITION_FIELDS)
+    pop = make_population(2000, 0.1, seed=4)
+    stats = empirical_stats(pop, realize(pop, SelectionModel(0.05, 0.2), MEAS_REF, seed=5))
+    dec = decompose_realization(pop, stats)
+    assert all(type(getattr(dec, name)) is float for name in DECOMPOSITION_FIELDS)
+
+
+def test_imperfect_error_broadcasts_bit_for_bit():
+    rng = np.random.default_rng(31)
+    args = {
+        "ybar": rng.uniform(0.01, 0.99, 50),
+        "f": rng.uniform(0.01, 0.99, 50),
+        "rho_iy": rng.uniform(-0.5, 0.5, 50),
+        "rho_ipz": rng.uniform(-0.5, 0.5, 50),
+        "sigma_pz": rng.uniform(0.0, 0.5, 50),
+        "fp": rng.uniform(0.0, 0.4, 50),
+        "fn": rng.uniform(0.0, 0.4, 50),
+    }
+    batch = imperfect_error(**args)
+    for i in range(50):
+        scalar = imperfect_error(**{key: float(value[i]) for key, value in args.items()})
+        for name in DECOMPOSITION_FIELDS:
+            assert getattr(batch, name)[i] == getattr(scalar, name), (i, name)
+    for bad in (1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="sampling fraction"):
+            imperfect_error(**dict(args, f=np.array([0.5, bad])))
+
+
+@pytest.mark.parametrize(
+    "size, prevalence, sel, meas",
+    [
+        (500, 0.2, SelectionModel(0.05, 0.3), MEAS_REF),
+        (300, 0.5, SelectionModel(0.0, 0.4), PERFECT_TEST),
+        (40, 0.1, SelectionModel(0.3, 0.9), MeasurementModel(0.2, 0.3)),
+    ],
+)
+def test_decompose_realization_on_array_stats_equals_scalar_calls(size, prevalence, sel, meas):
+    pop = make_population(size, prevalence, seed=size)
+    counts = np.array([joint_counts(pop, realize(pop, sel, meas, seed)) for seed in range(120)])
+    stats, degenerate = stats_from_counts(pop, counts)
+    usable = np.flatnonzero(~degenerate)
+    kept = EmpiricalStats(*(getattr(stats, f.name)[usable] for f in dataclasses.fields(stats)))
+    batch = decompose_realization(pop, kept)
+    for j, seed in enumerate(usable.tolist()):
+        scalar = decompose_realization(pop, empirical_stats(pop, realize(pop, sel, meas, seed)))
+        for name in DECOMPOSITION_FIELDS:
+            assert getattr(batch, name)[j] == getattr(scalar, name), (seed, name)
+
+
+def _identity_reference(pop, sel, meas, replications, seed):
+    """The per-replication exact-identity loop ``casebias mc-verify`` used to run."""
+    if isinstance(seed, np.random.Generator):
+        seed = int(seed.integers(2**63))
+    master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    worst = 0.0
+    used = 0
+    for child in master.spawn(replications):
+        r = realize(pop, sel, meas, child)
+        try:
+            stats = empirical_stats(pop, r)
+        except DegenerateSampleError:
+            continue
+        dec = decompose_realization(pop, stats)
+        lhs = stats.ybar_star - pop.prevalence
+        denom = max(abs(lhs), 1e-2)
+        worst = max(worst, abs(dec.total_error - lhs) / denom)
+        used += 1
+    return worst, used
+
+
+def _identity_configs(count):
+    """Seeded configurations with every edge the identity check must survive."""
+    rng = np.random.default_rng(20201018)
+    seed_kinds = (int, np.random.SeedSequence, np.random.default_rng)
+    for i in range(count):
+        size = int(rng.integers(2, 6)) if i % 4 == 0 else int(10 ** rng.uniform(1, 3.3))
+        prevalence = {1: 0.0, 2: 1.0}.get(i % 10, float(rng.uniform(0.0, 1.0)))
+        f0, f1 = rng.uniform(0.0, 1.0, 2).tolist()
+        if i % 7 == 0:
+            f0 = float(i % 2)
+        if i % 7 == 3:
+            f1 = float(i % 3 == 0)
+        fp = float(rng.uniform(0.0, 0.45))
+        meas = PERFECT_TEST if i % 5 == 0 else MeasurementModel(fp, float(rng.uniform(0, 0.45)))
+        kind = seed_kinds[i % 3]
+        yield (size, prevalence, SelectionModel(f0, f1), meas, int(rng.integers(1, 25)),
+               kind, int(rng.integers(2**31)))
+
+
+def test_verify_identity_matches_the_scalar_loop():
+    outcomes = {"some degenerate": 0, "all degenerate": 0, "none degenerate": 0}
+    kinds = set()
+    for size, prevalence, sel, meas, reps, kind, raw in _identity_configs(320):
+        pop = make_population(size, prevalence, seed=raw)
+        # spawn is stateful and a Generator advances: each call gets a fresh seed.
+        got = verify_identity(pop, sel, meas, reps, kind(raw))
+        want = _identity_reference(pop, sel, meas, reps, kind(raw))
+        assert got == want, (size, prevalence, sel, meas, reps, kind, raw)
+        assert type(got[0]) is float and type(got[1]) is int
+        worst, used = want
+        assert worst < 1e-10
+        if used == 0:
+            outcomes["all degenerate"] += 1
+        elif used < reps:
+            outcomes["some degenerate"] += 1
+        else:
+            outcomes["none degenerate"] += 1
+        kinds.add(kind)
+    assert min(outcomes.values()) >= 20, outcomes
+    assert len(kinds) == 3
+
+
+def test_verify_identity_rejects_no_replications():
+    pop = make_population(100, 0.2, seed=1)
+    with pytest.raises(ValueError, match="replications"):
+        verify_identity(pop, SelectionModel(0.1, 0.2), MEAS_REF, 0, seed=1)

@@ -353,6 +353,12 @@ def test_inversion_infeasible_error():
         estimate_relative_sampling(0.5, 0.01, 0.001, MEAS_REF, ybar_anchor=0.05)
 
 
+@pytest.mark.parametrize("anchor", [0.0, 1.0, 2.0, -0.5, math.nan])
+def test_estimate_relative_sampling_rejects_anchor_outside_unit_interval(anchor):
+    with pytest.raises(ValueError, match="ybar_anchor"):
+        estimate_relative_sampling(0.159, 0.325, 0.001, MEAS_REF, ybar_anchor=anchor)
+
+
 def test_estimate_relative_sampling_validation():
     with pytest.raises(ValueError):
         estimate_relative_sampling(0.0, 0.3, 0.001, MEAS_REF)
