@@ -278,7 +278,16 @@ def _meas(opts: dict, fp_key: str = "fp", fn_key: str = "fn") -> MeasurementMode
         raise _CliError(f"--{fp_key}/--{fn_key}: {exc}") from None
 
 
+def _check_seed(opts: dict) -> None:
+    if opts["seed"] is not None and opts["seed"] < 0:
+        raise _CliError(f"--seed must be a non-negative integer, got {opts['seed']}")
+
+
 def _cmd_decompose(opts: dict, caught: list) -> int:
+    # Checked even when unused: every input lands in decomposition.json.
+    if not 0.0 <= opts["ybar"] <= 1.0:
+        raise _CliError(f"--ybar must lie in [0, 1], got {opts['ybar']}")
+    _check_seed(opts)
     meas = _meas(opts)
     out = Path(opts["out"])
     if opts["empirical"]:
@@ -531,6 +540,7 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
 def _cmd_mc_verify(opts: dict, caught: list) -> int:
     if opts["reps"] < 2:
         raise _CliError("--reps must be >= 2")
+    _check_seed(opts)
     pop = make_population(opts["size"], opts["prevalence"], seed=opts["seed"])
     srs = SelectionModel(f0=opts["f0"], f1=opts["f0"])
     sel = SelectionModel(f0=opts["f0"], f1=opts["f1"])
@@ -579,19 +589,23 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    # argparse formats each option as it adds it: build only the subparser of a
+    # named command; help, --version and unknown commands get all nine.
     parser = _Parser(prog="casebias", description=__doc__)
     parser.add_argument("--version", action="version", version=f"casebias {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for name, table in _OPTION_TABLES.items():
+    for name in [command] if command in _OPTION_TABLES else _OPTION_TABLES:
         p = sub.add_parser(name, help=f"{name} outputs")
-        for opt in table + _COMMON:
+        for opt in _OPTION_TABLES[name] + _COMMON:
             p.add_argument(f"--{opt.name}", default=None, help=opt.help)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -148,6 +148,8 @@ class SelectionModel:
         """
         if not _all((0.0 < rel_rate) & (rel_rate < np.inf)):
             raise ValueError(f"relative rate must be finite and positive, got {rel_rate}")
+        if not _all((0.0 <= prevalence) & (prevalence <= 1.0)):
+            raise ValueError(f"prevalence must lie in [0, 1], got {prevalence}")
         f0 = f / (prevalence * (rel_rate - 1.0) + 1.0)
         return cls(f0=f0, f1=rel_rate * f0)
 

@@ -1,11 +1,30 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from casebias.cli import main
+from casebias.cli import _build_parser, main
+
+SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
+COMMANDS = ["decompose", "neff", "sir", "bias-curves", "rt-gap", "sensitivity", "compare",
+            "allocate", "mc-verify"]
+SURFACE_CASES = {
+    "help": ["--help"],
+    "h": ["-h"],
+    **{f"{cmd}-help": [cmd, "--help"] for cmd in COMMANDS},
+    "version": ["--version"],
+    "no-arguments": [],
+    "unknown-command": ["comp"],
+    "unknown-option": ["compare", "--n1", "1", "--bogus", "2"],
+    "ambiguous-prefix": ["compare", "--n", "1"],
+    "unique-prefix": ["sir", "--beta", "1.4", "--gamma", "0.2"],
+}
 
 
 def run(tmp_path, *args):
@@ -161,6 +180,38 @@ def test_decompose_empirical_identity(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "decomposition.json").read_text())
     assert abs(payload["outputs"]["identity_residual"]) < 1e-10
+
+
+DECOMPOSE_ARGS = ["decompose", "--ybar", "0.091", "--f", "0.026", "--m", "2"]
+
+
+@pytest.mark.parametrize("empirical", [[], ["--empirical", "true", "--seed", "1"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "2"])
+def test_decompose_rejects_ybar_outside_unit_interval(tmp_path, capsys, value, empirical):
+    argv = [*DECOMPOSE_ARGS, *empirical, f"--ybar={value}", "--size", "1000"]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "decomposition.json").exists()
+    assert f"--ybar must lie in [0, 1], got {float(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_decompose_empirical_constant_population_is_infeasible(tmp_path, value):
+    argv = [*DECOMPOSE_ARGS, "--ybar", value, "--empirical", "true", "--seed", "1"]
+    assert run(tmp_path, *argv, "--size", "1000") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, filename",
+    [
+        ([*DECOMPOSE_ARGS, "--empirical", "true", "--seed", "-3"], "decomposition.json"),
+        ([*DECOMPOSE_ARGS, "--seed", "-3"], "decomposition.json"),
+        (["mc-verify", "--seed", "-5", "--reps", "10"], "mc_verify.json"),
+    ],
+)
+def test_negative_seed_names_the_flag(tmp_path, capsys, argv, filename):
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / filename).exists()
+    assert "--seed must be a non-negative integer, got -" in capsys.readouterr().err
 
 
 def test_sir_writes_trajectory(tmp_path):
@@ -360,3 +411,78 @@ def test_cli_import_does_not_load_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _surface(argv):
+    """stdout, stderr and exit status of one in-process run (SystemExit's code for
+    --help and --version)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "status": status}
+
+
+def test_surface_cases_match_the_pinned_file():
+    assert set(json.loads(SURFACE.read_text())) == set(SURFACE_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE_CASES))
+def test_parser_surface_is_pinned(tmp_path, monkeypatch, case):
+    # Help, usage and every parser error, byte for byte; unique-prefix runs sir
+    # and prints the trajectory path relative to the working directory.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert _surface(SURFACE_CASES[case]) == json.loads(SURFACE.read_text())[case]
+
+
+def _subcommands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("first", [None, "--help", "-h", "--version", "comp", "--out"])
+def test_parser_builds_every_subparser_without_a_command(first):
+    assert _subcommands(_build_parser(first)) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_builds_only_the_named_subparser(command):
+    assert _subcommands(_build_parser(command)) == [command]
+
+
+def _python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
+    )
+
+
+COMPARE_ARGS = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
+                "--ybar1", "0.1", "--ybar2", "0.1"]
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path, monkeypatch):
+    # python -m casebias and the console script call main() with argv=None.
+    assert main([*COMPARE_ARGS, "--out", str(tmp_path / "inproc")]) == 0
+    done = _python("-m", "casebias", *COMPARE_ARGS, "--out", "sub", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sub" / "compare.json").read_bytes() == (
+        tmp_path / "inproc" / "compare.json"
+    ).read_bytes()
+
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _python("-m", "casebias", "--help")
+    assert done.returncode == 0
+    assert done.stdout == _surface(["--help"])["stdout"]
+    assert done.stderr == ""
+
+
+if __name__ == "__main__":
+    # Rewrite the pinned parser surface from the code on sys.path:
+    #   COLUMNS=80 PYTHONPATH=src python tests/test_cli.py   (run from a scratch directory)
+    pinned = {case: _surface(argv) for case, argv in SURFACE_CASES.items()}
+    SURFACE.parent.mkdir(exist_ok=True)
+    SURFACE.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")

@@ -86,6 +86,20 @@ def test_selection_from_relative_rate_rejects_non_finite_or_nonpositive(rate):
         SelectionModel.from_relative_rate(0.02, np.array([2.0, rate]), 0.1)
 
 
+@pytest.mark.parametrize("prev", [math.nan, -0.1, 1.5, math.inf, -math.inf])
+def test_selection_from_relative_rate_rejects_prevalence_outside_unit_interval(prev):
+    with pytest.raises(ValueError, match=f"prevalence must lie in \\[0, 1\\], got {prev}"):
+        SelectionModel.from_relative_rate(0.02, 2.0, prev)
+    with pytest.raises(ValueError, match="prevalence must lie in"):
+        SelectionModel.from_relative_rate(0.02, 2.0, np.array([0.1, prev]))
+
+
+@pytest.mark.parametrize("prev", [0.0, 1.0])
+def test_selection_from_relative_rate_accepts_constant_prevalence(prev):
+    sel = SelectionModel.from_relative_rate(0.02, 2.0, prev)
+    assert sel.overall_fraction(prev) == pytest.approx(0.02, rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [-1, 2, 127, -128])
 def test_population_rejects_non_binary_outcomes(bad):
     outcomes = np.zeros(10, dtype=np.int8)
