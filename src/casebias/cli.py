@@ -202,9 +202,17 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _read(flag: str, load: Callable, path: str, **kwargs):
+    """``load(path, **kwargs)``; a file that cannot be opened is an error naming ``--flag``."""
+    try:
+        return load(path, **kwargs)
+    except OSError as exc:
+        raise _CliError(f"--{flag}: cannot read {path!r}: {exc.strerror or exc}") from None
+
+
 def _resolve(args: argparse.Namespace, table: list) -> dict:
     """Merge CLI > config > defaults, converting and validating per option."""
-    config = _load_config(args.config) if args.config else {}
+    config = _read("config", _load_config, args.config) if args.config else {}
     known = {o.key for o in table} | {o.key for o in _COMMON}
     for key in config:
         if key not in known:
@@ -283,10 +291,18 @@ def _check_seed(opts: dict) -> None:
         raise _CliError(f"--seed must be a non-negative integer, got {opts['seed']}")
 
 
+def _check_unit(opts: dict, *keys: str) -> None:
+    """Each option must lie in [0, 1]; NaN fails."""
+    for key in keys:
+        if not 0.0 <= opts[key] <= 1.0:
+            raise _CliError(f"--{key} must lie in [0, 1], got {opts[key]}")
+
+
 def _cmd_decompose(opts: dict, caught: list) -> int:
     # Checked even when unused: every input lands in decomposition.json.
-    if not 0.0 <= opts["ybar"] <= 1.0:
-        raise _CliError(f"--ybar must lie in [0, 1], got {opts['ybar']}")
+    _check_unit(opts, "ybar")
+    if not 0.0 < opts["f"] <= 1.0:
+        raise _CliError(f"--f must lie in (0, 1], got {opts['f']}")
     _check_seed(opts)
     meas = _meas(opts)
     out = Path(opts["out"])
@@ -420,7 +436,7 @@ def _cmd_sensitivity(opts: dict, caught: list) -> int:
     if opts["series"] is not None:
         if opts["date"] is None:
             raise _CliError("--date is required with --series")
-        series = ingest(opts["series"], cumulative=opts["cumulative"])
+        series = _read("series", ingest, opts["series"], cumulative=opts["cumulative"])
         smooth = exp_smooth(series.positive_fraction, opts["alpha"])
         try:
             anchor_day = datetime.date.fromisoformat(opts["date"])
@@ -516,7 +532,7 @@ def _cmd_compare(opts: dict, caught: list) -> int:
 
 
 def _cmd_allocate(opts: dict, caught: list) -> int:
-    strata = strata_from_csv(opts["strata"])
+    strata = _read("strata", strata_from_csv, opts["strata"])
     alloc = neyman_allocation(strata, opts["n"])
     prop = proportional_allocation(strata, opts["n"])
     lines = ["stratum_id,share,prevalence,neyman_n,proportional_n"]
@@ -537,10 +553,18 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
     return 0
 
 
-def _cmd_mc_verify(opts: dict, caught: list) -> int:
+def _check_mc_verify(opts: dict) -> None:
+    """mc-verify's input checks.  ``--size`` and ``--reps`` have no ceiling."""
     if opts["reps"] < 2:
         raise _CliError("--reps must be >= 2")
     _check_seed(opts)
+    if opts["size"] < 2:
+        raise _CliError(f"--size must be >= 2, got {opts['size']}")
+    _check_unit(opts, "prevalence", "f0", "f1")
+
+
+def _cmd_mc_verify(opts: dict, caught: list) -> int:
+    _check_mc_verify(opts)
     pop = make_population(opts["size"], opts["prevalence"], seed=opts["seed"])
     srs = SelectionModel(f0=opts["f0"], f1=opts["f0"])
     sel = SelectionModel(f0=opts["f0"], f1=opts["f1"])

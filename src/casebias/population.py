@@ -22,8 +22,12 @@ samplers feed it:
   positives' cells and the negatives' cells are two independent 4-cell
   multinomials, so all replications come from two batched draws at a cost
   independent of N.  ``mc_expectation_reference`` computes the same estimate
-  from one ``realize`` per replication instead; ``decomposition.verify_identity``
-  checks the exact identity on those same seeded realizations.
+  from the cells of one ``realize`` per replication instead;
+  ``decomposition.verify_identity`` checks the exact identity on those same
+  seeded realizations.  Both replay ``realize``'s stream as counts: they draw
+  and compare the uniforms as ``realize`` does but build no ``Realization``,
+  and under a perfect test they skip the flip uniforms, which could flip no
+  one.  ``joint_counts`` and this replay share one cell-counting helper.
 
 Seeds (``SeedLike``) may be an int, a ``SeedSequence`` or a ``Generator``.  A
 ``Generator`` is drawn from, so it advances; the other forms start a fresh
@@ -297,20 +301,26 @@ def joint_counts(pop: FinitePopulation, r: Realization) -> np.ndarray:
     positives, then the four of the negatives, each ordered (selected and
     flipped, selected only, flipped only, neither).
     """
+    return np.array(_cells(pop, r.selected, r.flipped))
+
+
+def _cells(pop: FinitePopulation, selected: np.ndarray, flipped) -> list:
+    """``joint_counts``' eight cells from the indicators; ``flipped=None`` means no flips."""
     pos = pop.positive
-    sel = r.selected
-    flip = r.flipped
-    n = r.n
-    sel_pos = int(np.count_nonzero(sel & pos))
-    flip_pos = int(np.count_nonzero(flip & pos))
-    flip_neg = int(np.count_nonzero(flip)) - flip_pos
-    sel_flip = sel & flip
-    sel_flip_pos = int(np.count_nonzero(sel_flip & pos))
-    sel_flip_neg = int(np.count_nonzero(sel_flip)) - sel_flip_pos
+    n = int(np.count_nonzero(selected))
+    sel_pos = int(np.count_nonzero(selected & pos))
+    if flipped is None:
+        flip_pos = flip_neg = sel_flip_pos = sel_flip_neg = 0
+    else:
+        flip_pos = int(np.count_nonzero(flipped & pos))
+        flip_neg = int(np.count_nonzero(flipped)) - flip_pos
+        sel_flip = selected & flipped
+        sel_flip_pos = int(np.count_nonzero(sel_flip & pos))
+        sel_flip_neg = int(np.count_nonzero(sel_flip)) - sel_flip_pos
     sel_neg = n - sel_pos
     n_pos = pop.total
     n_neg = pop.size - n_pos
-    return np.array([
+    return [
         sel_flip_pos,
         sel_pos - sel_flip_pos,
         flip_pos - sel_flip_pos,
@@ -319,7 +329,7 @@ def joint_counts(pop: FinitePopulation, r: Realization) -> np.ndarray:
         sel_neg - sel_flip_neg,
         flip_neg - sel_flip_neg,
         n_neg - sel_neg - flip_neg + sel_flip_neg,
-    ])
+    ]
 
 
 def stats_from_counts(pop: FinitePopulation, counts) -> tuple[EmpiricalStats, np.ndarray]:
@@ -511,22 +521,39 @@ def mc_expectation_reference(
 ) -> MCEstimate:
     """``mc_expectation`` on the per-individual reference sampler.
 
-    Replication i is ``realize(pop, sel, meas, children[i])``, where
-    ``children`` are the ``replications`` children ``SeedSequence(seed)``
+    Replication i has the cells of ``realize(pop, sel, meas, children[i])``,
+    where ``children`` are the ``replications`` children ``SeedSequence(seed)``
     spawns (a SeedSequence seed is spawned from directly; a Generator seeds a
-    SeedSequence from one draw).  Its cells go through the same kernel and summary as
-    ``mc_expectation``.  It costs O(N) per replication; use it where the
-    realization stream itself must be reproduced.
+    SeedSequence from one draw).  The cells are replayed from each child's
+    stream without building a ``Realization``, and go through the same kernel
+    and summary as ``mc_expectation``.  It costs O(N) per replication; use it
+    where the realization stream itself must be reproduced.
     """
     _check_request(functional, replications)
     return _summarize(pop, _realized_counts(pop, sel, meas, replications, seed), functional)
 
 
 def _realized_counts(pop, sel, meas, replications: int, seed: SeedLike) -> np.ndarray:
-    """``joint_counts`` of one ``realize`` per child seed (see ``mc_expectation_reference``)."""
+    """``joint_counts(pop, realize(pop, sel, meas, child))`` per child seed, replayed as counts.
+
+    Each child's stream is drawn as ``realize`` draws it, into one buffer kept
+    across replications, and only its cells are kept.  Under a perfect test no
+    flip can occur, so the N flip uniforms are not drawn: the child generator
+    is private to its replication, so no later draw moves.
+    """
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2**63))
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.array(
-        [joint_counts(pop, realize(pop, sel, meas, child)) for child in master.spawn(replications)]
-    )
+    pos = pop.positive
+    u = np.empty(pop.size)
+    rows = []
+    for child in master.spawn(replications):
+        rng = np.random.default_rng(child)
+        rng.random(out=u)
+        selected = _below(u, pos, sel.f1, sel.f0)
+        flipped = None
+        if not meas.is_perfect:
+            rng.random(out=u)
+            flipped = _below(u, pos, meas.fn, meas.fp)
+        rows.append(_cells(pop, selected, flipped))
+    return np.array(rows)

@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from casebias.cli import _build_parser, main
+from casebias.cli import _build_parser, _check_mc_verify, main
 
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
+# mc_verify.json of a run whose three expectation checks and identity check all
+# use a perfect test; rewritten with the parser surface (see the end of the file).
+MC_VERIFY_PERFECT = Path(__file__).parent / "data" / "mc_verify_perfect.json"
+MC_VERIFY_PERFECT_ARGS = ["mc-verify", "--seed", "2", "--reps", "200", "--fp", "0", "--fn", "0"]
 COMMANDS = ["decompose", "neff", "sir", "bias-curves", "rt-gap", "sensitivity", "compare",
             "allocate", "mc-verify"]
 SURFACE_CASES = {
@@ -145,6 +149,35 @@ def test_mc_verify_passes(tmp_path):
     assert payload["outputs"]["checks"]["exact_identity"]["passed"] is True
 
 
+def test_mc_verify_perfect_test_output_is_pinned(tmp_path):
+    assert run(tmp_path, *MC_VERIFY_PERFECT_ARGS) == 0
+    assert (tmp_path / "mc_verify.json").read_bytes() == MC_VERIFY_PERFECT.read_bytes()
+
+
+MC_VERIFY_ARGS = ["mc-verify", "--seed", "1", "--reps", "10"]
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("size", "1", "--size must be >= 2, got 1"),
+        ("size", "-4", "--size must be >= 2, got -4"),
+        *[(opt, v, f"--{opt} must lie in [0, 1], got {float(v)}")
+          for opt in ("prevalence", "f0", "f1") for v in ("nan", "inf", "-0.1", "1.5")],
+    ],
+)
+def test_mc_verify_rejects_inputs_outside_their_domain(tmp_path, capsys, option, value, message):
+    assert run(tmp_path, *MC_VERIFY_ARGS, f"--{option}={value}") == 1
+    assert not (tmp_path / "mc_verify.json").exists()
+    assert message in capsys.readouterr().err
+
+
+def test_mc_verify_has_no_ceiling_on_size_or_reps():
+    # Checked through the validator alone: a run this large is never started.
+    opts = {"seed": 0, "reps": 10**12, "size": 10**12, "prevalence": 0.1, "f0": 0.0, "f1": 1.0}
+    assert _check_mc_verify(opts) is None
+
+
 def test_decompose_analytic(tmp_path):
     code = run(
         tmp_path,
@@ -214,6 +247,21 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, argv, filename):
     assert "--seed must be a non-negative integer, got -" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("empirical", [[], ["--empirical", "true", "--seed", "1"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.1", "2"])
+def test_decompose_rejects_f_outside_its_domain(tmp_path, capsys, value, empirical):
+    argv = [*DECOMPOSE_ARGS, *empirical, f"--f={value}", "--size", "1000"]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "decomposition.json").exists()
+    assert f"--f must lie in (0, 1], got {float(value)}" in capsys.readouterr().err
+
+
+def test_decompose_empirical_census_at_f_one_is_infeasible(tmp_path):
+    # --f = 1 passes the flag check; with m = 1 everyone is tested.
+    argv = ["decompose", "--ybar", "0.1", "--f", "1", "--m", "1", "--empirical", "true"]
+    assert run(tmp_path, *argv, "--seed", "1", "--size", "1000") == 2
+
+
 def test_sir_writes_trajectory(tmp_path):
     code = run(tmp_path, "sir", "--beta", "1.4", "--gamma-rec", "0.2", "--horizon", "50")
     assert code == 0
@@ -275,6 +323,25 @@ def test_config_unknown_key(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("not_a_key = 3\n")
     assert main(["neff", "--config", str(config), "--f", "0.026"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, filename",
+    [
+        (["neff", "--f", "0.026", "--config"], "neff_table.csv"),
+        (["allocate", "--n", "100", "--strata"], "allocation.csv"),
+        (["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172",
+          "--survey-prev", "0.159", "--date", "2020-04-20", "--series"], "sensitivity.json"),
+    ],
+    ids=["config", "strata", "series"],
+)
+def test_missing_input_file_names_the_flag(tmp_path, capsys, argv, filename):
+    missing = tmp_path / "nope.csv"
+    assert run(tmp_path, *argv, str(missing)) == 1
+    assert not (tmp_path / filename).exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-1]}: cannot read {str(missing)!r}")
+    assert "Traceback" not in err
 
 
 def test_no_subcommand_is_validation_error():
@@ -486,3 +553,5 @@ if __name__ == "__main__":
     pinned = {case: _surface(argv) for case, argv in SURFACE_CASES.items()}
     SURFACE.parent.mkdir(exist_ok=True)
     SURFACE.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+    main([*MC_VERIFY_PERFECT_ARGS, "--out", "."])
+    MC_VERIFY_PERFECT.write_bytes(Path("mc_verify.json").read_bytes())

@@ -23,6 +23,7 @@ from casebias import (
     realize,
     stats_from_counts,
 )
+from casebias.population import _realized_counts
 
 FIELDS = [f.name for f in dataclasses.fields(EmpiricalStats)]
 
@@ -525,3 +526,35 @@ def test_mc_expectation_reference_follows_realize_stream():
     assert est.mean == float(sample.mean())
     assert est.std_error == float(sample.std(ddof=1) / np.sqrt(sample.size))
     assert est.replications == sample.size
+
+
+def _realized_counts_reference(pop, sel, meas, replications, seed):
+    """One ``realize`` per spawned child, counted: the stream the count path replays."""
+    if isinstance(seed, np.random.Generator):
+        seed = int(seed.integers(2**63))
+    master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.array(
+        [joint_counts(pop, realize(pop, sel, meas, c)) for c in master.spawn(replications)]
+    )
+
+
+@pytest.mark.parametrize("form", sorted(SEED_FORMS))
+@pytest.mark.parametrize(
+    "meas",
+    [PERFECT_TEST, MeasurementModel(0.01, 0.15), MeasurementModel(0.0, 0.2),
+     MeasurementModel(0.3, 0.0)],
+)
+def test_realized_counts_replay_realize(meas, form):
+    for size, prevalence in [(2, 0.5), (2, 0.0), (3, 1.0), (50, 0.3), (997, 0.1)]:
+        pop = make_population(size, prevalence, seed=size)
+        for rates in [(0.02, 0.05), (0.3, 0.3), (0.0, 0.4), (0.4, 1.0), (0.0, 1.0), (1.0, 0.0),
+                      (1.0, 1.0), (0.0, 0.0)]:
+            sel = SelectionModel(*rates)
+            seed = SEED_FORMS[form]()
+            reference_seed = SEED_FORMS[form]()
+            got = _realized_counts(pop, sel, meas, 25, seed)
+            want = _realized_counts_reference(pop, sel, meas, 25, reference_seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (size, prevalence, rates)
+            if form == "generator":
+                assert seed.random() == reference_seed.random()
