@@ -4,6 +4,9 @@ Every subcommand writes deterministic CSV/JSON files (6 significant digits,
 sorted keys, LF newlines): identical inputs and seeds give byte-identical
 outputs.  Exit codes: 0 success, 1 validation error, 2 infeasible scenario or
 failed verification.
+
+Every option given as a flag or in ``--config`` is checked against its declared
+domain when it is read, used or not, in a message that names the flag.
 """
 from __future__ import annotations
 
@@ -100,11 +103,21 @@ class Opt:
     default: Any = None
     required: bool = False
     help: str = ""
+    domain: Optional[tuple] = None  # (wording, test): "--name must <wording>"
 
     @property
     def key(self) -> str:
         return self.name.replace("-", "_")
 
+
+# Shared domains.  Each test is written so that NaN fails it.
+_UNIT = ("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+_FRACTION = ("lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
+_OPEN_UNIT = ("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+_POSITIVE = ("be finite and positive", lambda x: 0.0 < x < math.inf)
+_AT_LEAST_1 = ("be >= 1", lambda x: x >= 1)
+_AT_LEAST_2 = ("be >= 2", lambda x: x >= 2)
+_SEED = ("be a non-negative integer", lambda x: x >= 0)
 
 _COMMON = [
     Opt("out", str, ".", help="output directory"),
@@ -113,13 +126,13 @@ _COMMON = [
 
 _OPTION_TABLES = {
     "decompose": [
-        Opt("ybar", float, required=True, help="true prevalence"),
-        Opt("f", float, required=True, help="overall tested fraction"),
-        Opt("m", float, required=True, help="relative testing rate f1/f0"),
+        Opt("ybar", float, required=True, help="true prevalence", domain=_UNIT),
+        Opt("f", float, required=True, help="overall tested fraction", domain=_FRACTION),
+        Opt("m", float, required=True, help="relative testing rate f1/f0", domain=_POSITIVE),
         Opt("fp", float, 0.0), Opt("fn", float, 0.0),
         Opt("empirical", _parse_bool, False, help="draw one realization instead"),
-        Opt("size", int, 100000, help="population size for --empirical"),
-        Opt("seed", int, None, help="required with --empirical"),
+        Opt("size", int, 100000, help="population size for --empirical", domain=_AT_LEAST_2),
+        Opt("seed", int, None, help="required with --empirical", domain=_SEED),
     ],
     "neff": [
         Opt("f", float, required=True),
@@ -130,24 +143,25 @@ _OPTION_TABLES = {
     "sir": [
         Opt("beta", float, required=True), Opt("gamma-rec", float, required=True),
         Opt("size", float, 1e6), Opt("i0", float, 100.0), Opt("r0", float, 0.0),
-        Opt("dt", float, 0.1), Opt("horizon", int, 400),
+        Opt("dt", float, 0.1), Opt("horizon", int, 400, domain=_AT_LEAST_1),
     ],
     "bias-curves": [
         Opt("beta", float, 1.4), Opt("gamma-rec", float, 0.2),
         Opt("size", float, 1e6), Opt("i0", float, 100.0),
-        Opt("dt", float, 0.1), Opt("horizon", int, 400),
+        Opt("dt", float, 0.1), Opt("horizon", int, 400, domain=_AT_LEAST_1),
         Opt("f", float, 0.02), Opt("fp", float, 0.01), Opt("fn", float, 0.15),
         Opt("m-grid", _parse_floats, [2.0, 4.0]),
         Opt("serial-interval", float, 7.0),
-        Opt("driver", str, "cases", help="cases or prevalence"),
+        Opt("driver", str, "cases", help="cases or prevalence",
+            domain=("be cases or prevalence", lambda x: x in ("cases", "prevalence"))),
         Opt("exact-susceptible", _parse_bool, False),
     ],
     "rt-gap": [
         Opt("beta-a", float, 1.4), Opt("beta-b", float, 0.9),
         Opt("gamma-rec", float, 0.2), Opt("size", float, 1e6), Opt("i0", float, 100.0),
-        Opt("dt", float, 0.1), Opt("horizon", int, 400),
+        Opt("dt", float, 0.1), Opt("horizon", int, 400, domain=_AT_LEAST_1),
         Opt("f", float, 0.02), Opt("fp", float, 0.01), Opt("fn", float, 0.2),
-        Opt("m", float, 4.0), Opt("serial-interval", float, 7.0),
+        Opt("m", float, 4.0, domain=_POSITIVE), Opt("serial-interval", float, 7.0),
     ],
     "sensitivity": [
         Opt("f", float, required=True, help="tested fraction on the anchor day"),
@@ -159,9 +173,11 @@ _OPTION_TABLES = {
         Opt("series", str, None, help="case-count CSV for the observed side"),
         Opt("cumulative", _parse_bool, False),
         Opt("date", str, None, help="anchor date (ISO) within --series"),
-        Opt("alpha", float, 0.3, help="smoothing weight for --series"),
-        Opt("survey-raw", float, None, help="raw survey share, corrected internally"),
-        Opt("ybar-anchor", float, None, help="override the anchor prevalence"),
+        Opt("alpha", float, 0.3, help="smoothing weight for --series", domain=_FRACTION),
+        Opt("survey-raw", float, None, help="raw survey share, corrected internally",
+            domain=_UNIT),
+        Opt("ybar-anchor", float, None, help="override the anchor prevalence",
+            domain=_OPEN_UNIT),
     ],
     "compare": [
         Opt("n1", float, required=True), Opt("n2", float, required=True),
@@ -177,10 +193,11 @@ _OPTION_TABLES = {
         Opt("population", float, None, help="population size for SRS comparison"),
     ],
     "mc-verify": [
-        Opt("seed", int, required=True),
-        Opt("reps", int, required=True),
-        Opt("size", int, 10000), Opt("prevalence", float, 0.1),
-        Opt("f0", float, 0.02), Opt("f1", float, 0.04),
+        Opt("seed", int, required=True, domain=_SEED),
+        Opt("reps", int, required=True, domain=_AT_LEAST_2),
+        Opt("size", int, 10000, domain=_AT_LEAST_2),
+        Opt("prevalence", float, 0.1, domain=_UNIT),
+        Opt("f0", float, 0.02, domain=_UNIT), Opt("f1", float, 0.04, domain=_UNIT),
         Opt("fp", float, 0.01), Opt("fn", float, 0.15),
     ],
 }
@@ -211,7 +228,8 @@ def _read(flag: str, load: Callable, path: str, **kwargs):
 
 
 def _resolve(args: argparse.Namespace, table: list) -> dict:
-    """Merge CLI > config > defaults, converting and validating per option."""
+    """Merge CLI > config > defaults; a given value is converted, then checked
+    against ``opt.domain``.  Defaults are not checked."""
     config = _read("config", _load_config, args.config) if args.config else {}
     known = {o.key for o in table} | {o.key for o in _COMMON}
     for key in config:
@@ -229,11 +247,12 @@ def _resolve(args: argparse.Namespace, table: list) -> dict:
             continue
         if isinstance(raw, str):
             try:
-                resolved[opt.key] = opt.typ(raw)
+                raw = opt.typ(raw)
             except (TypeError, ValueError) as exc:
                 raise _CliError(f"--{opt.name}: {exc}") from None
-        else:
-            resolved[opt.key] = raw
+        if opt.domain is not None and not opt.domain[1](raw):
+            raise _CliError(f"--{opt.name} must {opt.domain[0]}, got {raw}")
+        resolved[opt.key] = raw
     return resolved
 
 
@@ -286,31 +305,21 @@ def _meas(opts: dict, fp_key: str = "fp", fn_key: str = "fn") -> MeasurementMode
         raise _CliError(f"--{fp_key}/--{fn_key}: {exc}") from None
 
 
-def _check_seed(opts: dict) -> None:
-    if opts["seed"] is not None and opts["seed"] < 0:
-        raise _CliError(f"--seed must be a non-negative integer, got {opts['seed']}")
-
-
-def _check_unit(opts: dict, *keys: str) -> None:
-    """Each option must lie in [0, 1]; NaN fails."""
-    for key in keys:
-        if not 0.0 <= opts[key] <= 1.0:
-            raise _CliError(f"--{key} must lie in [0, 1], got {opts[key]}")
+def _selection(opts: dict, prevalence: float) -> SelectionModel:
+    try:
+        return SelectionModel.from_relative_rate(opts["f"], opts["m"], prevalence)
+    except ValueError as exc:
+        raise _CliError(f"--f/--m/--ybar: {exc}") from None
 
 
 def _cmd_decompose(opts: dict, caught: list) -> int:
-    # Checked even when unused: every input lands in decomposition.json.
-    _check_unit(opts, "ybar")
-    if not 0.0 < opts["f"] <= 1.0:
-        raise _CliError(f"--f must lie in (0, 1], got {opts['f']}")
-    _check_seed(opts)
     meas = _meas(opts)
     out = Path(opts["out"])
     if opts["empirical"]:
         if opts["seed"] is None:
             raise _CliError("--seed is required with --empirical")
         pop = make_population(opts["size"], opts["ybar"], seed=opts["seed"])
-        sel = SelectionModel.from_relative_rate(opts["f"], opts["m"], pop.prevalence)
+        sel = _selection(opts, pop.prevalence)
         stats = empirical_stats(pop, realize(pop, sel, meas, seed=opts["seed"] + 1))
         dec = decompose_realization(pop, stats)
         outputs = {
@@ -324,7 +333,13 @@ def _cmd_decompose(opts: dict, caught: list) -> int:
             "rho_iy": stats.rho_iy,
         }
     else:
-        sel = SelectionModel.from_relative_rate(opts["f"], opts["m"], opts["ybar"])
+        # The analytic formulas need 0 < ybar < 1 and f < 1; a realization allows the ends.
+        for key in ("ybar", "f"):
+            if opts[key] in (0.0, 1.0):
+                raise _CliError(
+                    f"--{key} must lie strictly in (0, 1) without --empirical, got {opts[key]}"
+                )
+        sel = _selection(opts, opts["ybar"])
         rho = binary_rho(sel.delta, opts["ybar"], opts["f"])
         rho_ipz = rho_ipz_from_rho_iy(rho, sel, meas, opts["ybar"])
         dec = imperfect_error(
@@ -388,8 +403,6 @@ def _cmd_sir(opts: dict, caught: list) -> int:
 
 
 def _cmd_bias_curves(opts: dict, caught: list) -> int:
-    if opts["driver"] not in ("cases", "prevalence"):
-        raise _CliError("--driver must be cases or prevalence")
     traj = sir_simulate(_sir_params(opts))
     curves = bias_curves(
         traj,
@@ -424,13 +437,6 @@ def _cmd_rt_gap(opts: dict, caught: list) -> int:
 
 
 def _cmd_sensitivity(opts: dict, caught: list) -> int:
-    # Checked even when unused: every input lands in sensitivity.json.
-    if not 0.0 < opts["alpha"] <= 1.0:
-        raise _CliError(f"--alpha must lie in (0, 1], got {opts['alpha']}")
-    if opts["survey_raw"] is not None and not 0.0 <= opts["survey_raw"] <= 1.0:
-        raise _CliError(f"--survey-raw must lie in [0, 1], got {opts['survey_raw']}")
-    if opts["ybar_anchor"] is not None and not 0.0 < opts["ybar_anchor"] < 1.0:
-        raise _CliError(f"--ybar-anchor must lie strictly in (0, 1), got {opts['ybar_anchor']}")
     meas = _meas(opts)
     observed = opts["observed_prev"]
     if opts["series"] is not None:
@@ -553,18 +559,7 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
     return 0
 
 
-def _check_mc_verify(opts: dict) -> None:
-    """mc-verify's input checks.  ``--size`` and ``--reps`` have no ceiling."""
-    if opts["reps"] < 2:
-        raise _CliError("--reps must be >= 2")
-    _check_seed(opts)
-    if opts["size"] < 2:
-        raise _CliError(f"--size must be >= 2, got {opts['size']}")
-    _check_unit(opts, "prevalence", "f0", "f1")
-
-
 def _cmd_mc_verify(opts: dict, caught: list) -> int:
-    _check_mc_verify(opts)
     pop = make_population(opts["size"], opts["prevalence"], seed=opts["seed"])
     srs = SelectionModel(f0=opts["f0"], f1=opts["f0"])
     sel = SelectionModel(f0=opts["f0"], f1=opts["f1"])
@@ -616,7 +611,8 @@ _COMMANDS = {
 def _build_parser(command: Optional[str] = None) -> _Parser:
     # argparse formats each option as it adds it: build only the subparser of a
     # named command; help, --version and unknown commands get all nine.
-    parser = _Parser(prog="casebias", description=__doc__)
+    # --help shows the module docstring without its last paragraph (the domain policy).
+    parser = _Parser(prog="casebias", description=(__doc__ or "").rpartition("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"casebias {__version__}")
     sub = parser.add_subparsers(dest="command")
     for name in [command] if command in _OPTION_TABLES else _OPTION_TABLES:
@@ -642,11 +638,11 @@ def main(argv: Optional[list] = None) -> int:
             for flag in _flags(caught):
                 print(f"flag: {flag}", file=sys.stderr)
         return code
-    except _CliError as exc:
+    except ValueError as exc:  # _CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except (InfeasibleScenarioError, DegenerateSampleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from casebias.cli import _build_parser, _check_mc_verify, main
+from casebias.cli import _OPTION_TABLES, _build_parser, _resolve, main
 
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
 # mc_verify.json of a run whose three expectation checks and identity check all
@@ -175,7 +175,8 @@ def test_mc_verify_rejects_inputs_outside_their_domain(tmp_path, capsys, option,
 def test_mc_verify_has_no_ceiling_on_size_or_reps():
     # Checked through the validator alone: a run this large is never started.
     opts = {"seed": 0, "reps": 10**12, "size": 10**12, "prevalence": 0.1, "f0": 0.0, "f1": 1.0}
-    assert _check_mc_verify(opts) is None
+    resolved = _resolve(argparse.Namespace(config=None, **opts), _OPTION_TABLES["mc-verify"])
+    assert {key: resolved[key] for key in opts} == opts
 
 
 def test_decompose_analytic(tmp_path):
@@ -260,6 +261,151 @@ def test_decompose_empirical_census_at_f_one_is_infeasible(tmp_path):
     # --f = 1 passes the flag check; with m = 1 everyone is tested.
     argv = ["decompose", "--ybar", "0.1", "--f", "1", "--m", "1", "--empirical", "true"]
     assert run(tmp_path, *argv, "--seed", "1", "--size", "1000") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ybar", "0.1", "--f", "0.9", "--m", "2"], "--f/--m/--ybar: f1 must lie in [0, 1]"),
+        (["--ybar", "0.1", "--f", "0.9", "--m", "2", "--empirical", "true", "--seed", "1"],
+         "--f/--m/--ybar: f1 must lie in [0, 1]"),
+        (["--ybar", "0.1", "--f", "1", "--m", "1"], "--f must lie strictly in (0, 1)"),
+        (["--ybar", "0", "--f", "0.02", "--m", "2"], "--ybar must lie strictly in (0, 1)"),
+    ],
+    ids=["f1-above-one", "f1-above-one-empirical", "analytic-f-one", "analytic-ybar-zero"],
+)
+def test_decompose_joint_domain_names_the_flags(tmp_path, capsys, argv, message):
+    assert run(tmp_path, "decompose", *argv, "--size", "1000") == 1
+    assert not (tmp_path / "decomposition.json").exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empirical", [[], ["--empirical", "true", "--seed", "1"]])
+def test_decompose_checks_size_on_both_paths(tmp_path, capsys, empirical):
+    # size lands in decomposition.json even when no realization is drawn.
+    assert run(tmp_path, *DECOMPOSE_ARGS, *empirical, "--size", "1") == 1
+    assert not (tmp_path / "decomposition.json").exists()
+    assert "--size must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv, filename",
+    [(DECOMPOSE_ARGS[:-2], "decomposition.json"), (["rt-gap", "--horizon", "20"], "rt_gap.csv")],
+    ids=["decompose", "rt-gap"],
+)
+def test_relative_rate_names_the_flag(tmp_path, capsys, argv, filename, value):
+    assert run(tmp_path, *argv, f"--m={value}") == 1
+    assert not (tmp_path / filename).exists()
+    assert f"--m must be finite and positive, got {float(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, filename",
+    [
+        (["sir", "--beta", "1.4", "--gamma-rec", "0.2"], "trajectory.csv"),
+        (["bias-curves"], "bias_curves.csv"),
+        (["rt-gap"], "rt_gap.csv"),
+    ],
+    ids=["sir", "bias-curves", "rt-gap"],
+)
+def test_horizon_names_the_flag(tmp_path, capsys, argv, filename):
+    assert run(tmp_path, *argv, "--horizon", "0") == 1
+    assert not (tmp_path / filename).exists()
+    assert "--horizon must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_sir_has_no_ceiling_on_horizon():
+    # Checked through the option table alone: a run this long is never started.
+    args = argparse.Namespace(config=None, beta="1.4", gamma_rec="0.2", horizon=str(10**12))
+    assert _resolve(args, _OPTION_TABLES["sir"])["horizon"] == 10**12
+
+
+@pytest.mark.parametrize(
+    "argv, filename",
+    [
+        ([*DECOMPOSE_ARGS, "--empirical", "true", "--seed", "1"], "decomposition.json"),
+        (["mc-verify", "--seed", "1", "--reps", "10"], "mc_verify.json"),
+    ],
+    ids=["decompose", "mc-verify"],
+)
+def test_allocation_failure_is_an_error_line(tmp_path, capsys, monkeypatch, argv, filename):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr("casebias.cli.make_population", refuse)
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / filename).exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+
+
+# A scenario each command runs to exit 0, and the file it writes.
+DOMAIN_BASE = {
+    "decompose": ({"ybar": "0.091", "f": "0.026", "m": "2"}, "decomposition.json"),
+    "sir": ({"beta": "1.4", "gamma-rec": "0.2", "horizon": "20"}, "trajectory.csv"),
+    "bias-curves": ({"horizon": "20"}, "bias_curves.csv"),
+    "rt-gap": ({"horizon": "20"}, "rt_gap.csv"),
+    "sensitivity": (
+        {"f": "0.001", "fp": "0.005", "fn": "0.172", "observed-prev": "0.325",
+         "survey-prev": "0.159"},
+        "sensitivity.json",
+    ),
+    "mc-verify": ({"seed": "1", "reps": "10", "size": "1000"}, "mc_verify.json"),
+}
+# One value outside each declared domain.
+OUT_OF_DOMAIN = {
+    "ybar": "1.5", "f": "0", "m": "-2", "size": "1", "seed": "-1", "horizon": "0",
+    "driver": "incidence", "alpha": "1.5", "survey-raw": "-0.1", "ybar-anchor": "1",
+    "reps": "1", "prevalence": "2", "f0": "-0.5", "f1": "nan",
+}
+DOMAIN_OPTS = [
+    (command, opt) for command, table in _OPTION_TABLES.items() for opt in table if opt.domain
+]
+
+
+def _domain_ids(cases):
+    return [f"{command}-{opt.name}" for command, opt in cases]
+
+
+def test_every_command_with_a_domain_has_a_base_scenario():
+    assert {command for command, _ in DOMAIN_OPTS} == set(DOMAIN_BASE)
+
+
+@pytest.mark.parametrize("command", sorted(DOMAIN_BASE))
+def test_domain_base_scenarios_run(tmp_path, command):
+    base, filename = DOMAIN_BASE[command]
+    argv = [tok for key, val in base.items() for tok in (f"--{key}", val)]
+    assert run(tmp_path, command, *argv) == 0
+    assert (tmp_path / filename).exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, opt", DOMAIN_OPTS, ids=_domain_ids(DOMAIN_OPTS))
+def test_declared_domain_is_checked(tmp_path, capsys, command, opt, source):
+    # The base scenario runs to exit 0 without this one out-of-domain value.
+    base, filename = DOMAIN_BASE[command]
+    bad = OUT_OF_DOMAIN[opt.name]
+    argv = [tok for key, val in base.items() if key != opt.name for tok in (f"--{key}", val)]
+    if source == "flag":
+        argv.append(f"--{opt.name}={bad}")
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{opt.name} = {bad}\n")
+        argv += ["--config", str(config)]
+    out = tmp_path / "out"
+    assert run(out, command, *argv) == 1
+    assert not (out / filename).exists()
+    assert f"--{opt.name} must" in capsys.readouterr().err
+
+
+FLOAT_DOMAIN_OPTS = [(command, opt) for command, opt in DOMAIN_OPTS if opt.typ is float]
+
+
+@pytest.mark.parametrize("command, opt", FLOAT_DOMAIN_OPTS, ids=_domain_ids(FLOAT_DOMAIN_OPTS))
+def test_float_domains_reject_nan(command, opt):
+    assert not opt.domain[1](float("nan"))
 
 
 def test_sir_writes_trajectory(tmp_path):
