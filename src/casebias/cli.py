@@ -118,6 +118,11 @@ _POSITIVE = ("be finite and positive", lambda x: 0.0 < x < math.inf)
 _AT_LEAST_1 = ("be >= 1", lambda x: x >= 1)
 _AT_LEAST_2 = ("be >= 2", lambda x: x >= 2)
 _SEED = ("be a non-negative integer", lambda x: x >= 0)
+_NON_NEGATIVE = ("be finite and >= 0", lambda x: 0.0 <= x < math.inf)
+_FINITE = ("be finite", math.isfinite)
+_CORRELATION = ("lie in [-1, 1]", lambda x: -1.0 <= x <= 1.0)
+_NEFF = ("be finite and > 1", lambda x: 1.0 < x < math.inf)
+_POPULATION = ("be finite and >= 2", lambda x: 2.0 <= x < math.inf)
 
 _COMMON = [
     Opt("out", str, ".", help="output directory"),
@@ -135,36 +140,41 @@ _OPTION_TABLES = {
         Opt("seed", int, None, help="required with --empirical", domain=_SEED),
     ],
     "neff": [
-        Opt("f", float, required=True),
+        Opt("f", float, required=True, domain=_OPEN_UNIT),
         Opt("ybar-grid", _parse_floats, [0.016, 0.036, 0.056, 0.076, 0.096]),
         Opt("m-grid", _parse_floats, [1.2, 1.4, 1.6, 1.8, 2.0]),
         Opt("fp", float, None), Opt("fn", float, None),
     ],
     "sir": [
-        Opt("beta", float, required=True), Opt("gamma-rec", float, required=True),
-        Opt("size", float, 1e6), Opt("i0", float, 100.0), Opt("r0", float, 0.0),
-        Opt("dt", float, 0.1), Opt("horizon", int, 400, domain=_AT_LEAST_1),
+        Opt("beta", float, required=True, domain=_POSITIVE),
+        Opt("gamma-rec", float, required=True, domain=_POSITIVE),
+        Opt("size", float, 1e6, domain=_POSITIVE), Opt("i0", float, 100.0, domain=_NON_NEGATIVE),
+        Opt("r0", float, 0.0, domain=_NON_NEGATIVE),
+        Opt("dt", float, 0.1, domain=_POSITIVE), Opt("horizon", int, 400, domain=_AT_LEAST_1),
     ],
     "bias-curves": [
-        Opt("beta", float, 1.4), Opt("gamma-rec", float, 0.2),
-        Opt("size", float, 1e6), Opt("i0", float, 100.0),
-        Opt("dt", float, 0.1), Opt("horizon", int, 400, domain=_AT_LEAST_1),
-        Opt("f", float, 0.02), Opt("fp", float, 0.01), Opt("fn", float, 0.15),
+        Opt("beta", float, 1.4, domain=_POSITIVE), Opt("gamma-rec", float, 0.2, domain=_POSITIVE),
+        Opt("size", float, 1e6, domain=_POSITIVE), Opt("i0", float, 100.0, domain=_NON_NEGATIVE),
+        Opt("dt", float, 0.1, domain=_POSITIVE), Opt("horizon", int, 400, domain=_AT_LEAST_1),
+        Opt("f", float, 0.02, domain=_OPEN_UNIT), Opt("fp", float, 0.01), Opt("fn", float, 0.15),
         Opt("m-grid", _parse_floats, [2.0, 4.0]),
-        Opt("serial-interval", float, 7.0),
+        Opt("serial-interval", float, 7.0, domain=_POSITIVE),
         Opt("driver", str, "cases", help="cases or prevalence",
             domain=("be cases or prevalence", lambda x: x in ("cases", "prevalence"))),
         Opt("exact-susceptible", _parse_bool, False),
     ],
     "rt-gap": [
-        Opt("beta-a", float, 1.4), Opt("beta-b", float, 0.9),
-        Opt("gamma-rec", float, 0.2), Opt("size", float, 1e6), Opt("i0", float, 100.0),
-        Opt("dt", float, 0.1), Opt("horizon", int, 400, domain=_AT_LEAST_1),
-        Opt("f", float, 0.02), Opt("fp", float, 0.01), Opt("fn", float, 0.2),
-        Opt("m", float, 4.0, domain=_POSITIVE), Opt("serial-interval", float, 7.0),
+        Opt("beta-a", float, 1.4, domain=_POSITIVE), Opt("beta-b", float, 0.9, domain=_POSITIVE),
+        Opt("gamma-rec", float, 0.2, domain=_POSITIVE), Opt("size", float, 1e6, domain=_POSITIVE),
+        Opt("i0", float, 100.0, domain=_NON_NEGATIVE),
+        Opt("dt", float, 0.1, domain=_POSITIVE), Opt("horizon", int, 400, domain=_AT_LEAST_1),
+        Opt("f", float, 0.02, domain=_OPEN_UNIT), Opt("fp", float, 0.01), Opt("fn", float, 0.2),
+        Opt("m", float, 4.0, domain=_POSITIVE),
+        Opt("serial-interval", float, 7.0, domain=_POSITIVE),
     ],
     "sensitivity": [
-        Opt("f", float, required=True, help="tested fraction on the anchor day"),
+        Opt("f", float, required=True, help="tested fraction on the anchor day",
+            domain=_OPEN_UNIT),
         Opt("fp", float, required=True), Opt("fn", float, required=True),
         Opt("survey-prev", float, None, help="adjusted survey prevalence"),
         Opt("observed-prev", float, None, help="adjusted case-count prevalence"),
@@ -180,12 +190,15 @@ _OPTION_TABLES = {
             domain=_OPEN_UNIT),
     ],
     "compare": [
-        Opt("n1", float, required=True), Opt("n2", float, required=True),
-        Opt("f1", float, required=True), Opt("f2", float, required=True),
-        Opt("ybar1", float, required=True), Opt("ybar2", float, required=True),
-        Opt("rho1", float, 0.0), Opt("rho2", float, 0.0),
-        Opt("d1", float, 1.0), Opt("d2", float, 1.0),
-        Opt("neff1", float, None), Opt("neff2", float, None),
+        Opt("n1", float, required=True, domain=_POPULATION),
+        Opt("n2", float, required=True, domain=_POPULATION),
+        Opt("f1", float, required=True, domain=_OPEN_UNIT),
+        Opt("f2", float, required=True, domain=_OPEN_UNIT),
+        Opt("ybar1", float, required=True, domain=_UNIT),
+        Opt("ybar2", float, required=True, domain=_UNIT),
+        Opt("rho1", float, 0.0, domain=_CORRELATION), Opt("rho2", float, 0.0, domain=_CORRELATION),
+        Opt("d1", float, 1.0, domain=_FINITE), Opt("d2", float, 1.0, domain=_FINITE),
+        Opt("neff1", float, None, domain=_NEFF), Opt("neff2", float, None, domain=_NEFF),
     ],
     "allocate": [
         Opt("strata", str, required=True, help="CSV stratum_id,share,prevalence"),
@@ -393,7 +406,8 @@ def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
             horizon=opts["horizon"],
         )
     except ValueError as exc:
-        raise _CliError(str(exc)) from None
+        flags = "--size/--i0/--r0" if "r0" in opts else "--size/--i0"
+        raise _CliError(f"{flags}: {exc}") from None
 
 
 def _cmd_sir(opts: dict, caught: list) -> int:
@@ -500,9 +514,7 @@ def _cmd_compare(opts: dict, caught: list) -> int:
             ybar_hat=ybar,
             rho=opts[f"rho{i}"],
             d_m=opts[f"d{i}"],
-            # PopulationSummary rejects a ybar outside [0, 1] and names ybar_hat;
-            # the 0.0 stand-in keeps the square root from failing before it can.
-            sigma_y=math.sqrt(ybar * (1.0 - ybar)) if 0.0 <= ybar <= 1.0 else 0.0,
+            sigma_y=math.sqrt(ybar * (1.0 - ybar)),
         )
 
     a, b = summary("1"), summary("2")

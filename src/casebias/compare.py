@@ -15,7 +15,7 @@ import numpy as np
 
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
-from .estimators import _rt_error_series, _step_context, _warn_flagged
+from .estimators import InfeasibleScenarioError, _rt_error_series, _step_context, _warn_flagged
 
 __all__ = [
     "PopulationSummary",
@@ -84,11 +84,15 @@ def prevalence_z(
     the pooled binary standard deviation.  ``z`` divides the observed gap by
     sqrt(V_SRS); ``z_analytic`` replaces the gap with its selection-error form
     rho*D*sqrt((1-f)/f) per population, which isolates what the statistic
-    actually measures when both true prevalences are equal.
+    actually measures when both true prevalences are equal.  Zero pooled
+    variance (both prevalences 0, or both 1) leaves no scale to divide by and
+    raises InfeasibleScenarioError.
     """
     if sigma_null is None:
         pooled = 0.5 * (a.ybar_hat + b.ybar_hat)
         sigma_null = math.sqrt(pooled * (1.0 - pooled))
+    if sigma_null == 0.0:
+        raise InfeasibleScenarioError("zero pooled variance: the Z-score is undefined")
     var_srs = (
         (1.0 - a.f) / a.f / (a.size - 1.0) + (1.0 - b.f) / b.f / (b.size - 1.0)
     ) * sigma_null ** 2

@@ -28,6 +28,10 @@ samplers feed it:
   and compare the uniforms as ``realize`` does but build no ``Realization``,
   and under a perfect test they skip the flip uniforms, which could flip no
   one.  ``joint_counts`` and this replay share one cell-counting helper.
+  Their child seeds come from one array pass: numpy's ``SeedSequence`` hash
+  runs once over all children, one lane each, and each child's four state
+  words seed its ``PCG64`` through numpy's ``ISeedSequence`` interface, so
+  every stream is the one ``default_rng(child)`` gives for the spawned child.
 
 Seeds (``SeedLike``) may be an int, a ``SeedSequence`` or a ``Generator``.  A
 ``Generator`` is drawn from, so it advances; the other forms start a fresh
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "DegenerateSampleError",
@@ -260,8 +265,11 @@ def _below(u: np.ndarray, pos: np.ndarray, rate_pos: float, rate_neg: float) -> 
 
     With lo <= hi the two rates, u < lo implies u < hi, so
     ``(u < lo) | ((u < hi) & mask)``, where ``mask`` marks the individuals
-    whose rate is hi, compares every individual with its own rate.
+    whose rate is hi, compares every individual with its own rate.  Equal
+    rates need the one compare.
     """
+    if rate_pos == rate_neg:
+        return u < rate_pos
     lo, hi = min(rate_pos, rate_neg), max(rate_pos, rate_neg)
     below = u < hi
     below &= pos if rate_pos >= rate_neg else ~pos
@@ -539,16 +547,21 @@ def _realized_counts(pop, sel, meas, replications: int, seed: SeedLike) -> np.nd
     Each child's stream is drawn as ``realize`` draws it, into one buffer kept
     across replications, and only its cells are kept.  Under a perfect test no
     flip can occur, so the N flip uniforms are not drawn: the child generator
-    is private to its replication, so no later draw moves.
+    is private to its replication, so no later draw moves.  The children's
+    seeds come from ``_child_seed_words``; a caller's ``SeedSequence`` is still
+    spawned from, so it advances by ``replications`` children as before.
     """
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2**63))
     master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    words = _child_seed_words(master, replications)
+    if master is seed:  # a caller's SeedSequence advances past the children it gave
+        seed.spawn(replications)
     pos = pop.positive
     u = np.empty(pop.size)
     rows = []
-    for child in master.spawn(replications):
-        rng = np.random.default_rng(child)
+    for child in words:
+        rng = np.random.Generator(np.random.PCG64(_Words(child)))
         rng.random(out=u)
         selected = _below(u, pos, sel.f1, sel.f0)
         flipped = None
@@ -557,3 +570,85 @@ def _realized_counts(pop, sel, meas, replications: int, seed: SeedLike) -> np.nd
             flipped = _below(u, pos, meas.fn, meas.fp)
         rows.append(_cells(pop, selected, flipped))
     return np.array(rows)
+
+
+class _Words(ISeedSequence):
+    """A seed source that hands ``PCG64`` one child's precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for 4 uint64 words, the ones _child_seed_words computed.
+        return self.words
+
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _words32(value) -> list:
+    """The uint32 words ``SeedSequence`` reads from an int or a sequence of ints, low first."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    return [word for item in value for word in _words32(item)]
+
+
+def _child_seed_words(master: np.random.SeedSequence, n: int) -> np.ndarray:
+    """``[c.generate_state(4, np.uint64) for c in master.spawn(n)]`` as an (n, 4) array.
+
+    Runs numpy's ``SeedSequence`` hash once over uint32 columns, one lane per
+    child, and does not spawn: ``master`` is left as it was.  Child k + i
+    (k = ``master.n_children_spawned``) hashes the master's entropy words,
+    zero-padded to the pool size, then the master's spawn key, then its own
+    index k + i.  Only that last word differs between children, so the words
+    before it are hashed once, in length-1 arrays that broadcast.  Child
+    indices past 2**32 - 1, where numpy's own ``spawn`` does not finish,
+    raise ``OverflowError``.
+    """
+    first = master.n_children_spawned
+    run = _words32(master.entropy)
+    run += [0] * (master.pool_size - len(run))
+    entropy = [np.full(1, word, dtype=np.uint32) for word in run + _words32(master.spawn_key)]
+    entropy.append(np.arange(first, first + n, dtype=np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> 16)
+
+    # A child's entropy is always longer than its pool, so every pool word is seeded.
+    size = master.pool_size
+    pool = [hashmix(word) for word in entropy[:size]]
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[size:]:
+        for dst in range(size):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): 8 uint32 words cycled from the pool, paired low-high.
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % size] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from casebias.cli import _OPTION_TABLES, _build_parser, _resolve, main
+from casebias.cli import _OPTION_TABLES, _build_parser, _parse_floats, _resolve, main
 
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
 # mc_verify.json of a run whose three expectation checks and identity check all
@@ -344,6 +344,7 @@ def test_allocation_failure_is_an_error_line(tmp_path, capsys, monkeypatch, argv
 # A scenario each command runs to exit 0, and the file it writes.
 DOMAIN_BASE = {
     "decompose": ({"ybar": "0.091", "f": "0.026", "m": "2"}, "decomposition.json"),
+    "neff": ({"f": "0.026"}, "neff_table.csv"),
     "sir": ({"beta": "1.4", "gamma-rec": "0.2", "horizon": "20"}, "trajectory.csv"),
     "bias-curves": ({"horizon": "20"}, "bias_curves.csv"),
     "rt-gap": ({"horizon": "20"}, "rt_gap.csv"),
@@ -352,13 +353,36 @@ DOMAIN_BASE = {
          "survey-prev": "0.159"},
         "sensitivity.json",
     ),
+    "compare": (
+        {"n1": "328e6", "n2": "38e6", "f1": "0.023", "f2": "0.023", "ybar1": "0.1",
+         "ybar2": "0.1", "neff1": "15", "neff2": "15"},
+        "compare.json",
+    ),
     "mc-verify": ({"seed": "1", "reps": "10", "size": "1000"}, "mc_verify.json"),
 }
-# One value outside each declared domain.
+# One value outside each declared domain; a name shared by commands is outside all of them.
 OUT_OF_DOMAIN = {
-    "ybar": "1.5", "f": "0", "m": "-2", "size": "1", "seed": "-1", "horizon": "0",
+    "ybar": "1.5", "f": "0", "m": "-2", "size": "0", "seed": "-1", "horizon": "0",
     "driver": "incidence", "alpha": "1.5", "survey-raw": "-0.1", "ybar-anchor": "1",
     "reps": "1", "prevalence": "2", "f0": "-0.5", "f1": "nan",
+    "beta": "0", "beta-a": "-1", "beta-b": "inf", "gamma-rec": "nan", "dt": "0",
+    "i0": "-1", "r0": "inf", "serial-interval": "-7",
+    "n1": "1", "n2": "inf", "f2": "1", "ybar1": "-0.1", "ybar2": "nan", "rho1": "5",
+    "rho2": "-1.5", "d1": "inf", "d2": "nan", "neff1": "1", "neff2": "-inf",
+}
+# Numeric options with no declared domain, and why.
+UNDECLARED = {
+    # --fp and --fn are checked together by MeasurementModel, through cli._meas, whose
+    # message names both flags: fp + fn < 1 is no single option's domain.
+    *[(command, name) for command in ("decompose", "neff", "bias-curves", "rt-gap",
+                                      "sensitivity", "mc-verify") for name in ("fp", "fn")],
+    # Lists are checked element-wise by the library, in messages that name no flag.
+    ("neff", "ybar-grid"), ("neff", "m-grid"), ("bias-curves", "m-grid"),
+    ("sensitivity", "fp-range"), ("sensitivity", "fn-range"),
+    # Checked by estimate_relative_sampling and the allocation functions, in
+    # messages that name no flag.
+    ("sensitivity", "survey-prev"), ("sensitivity", "observed-prev"),
+    ("allocate", "n"), ("allocate", "population"),
 }
 DOMAIN_OPTS = [
     (command, opt) for command, table in _OPTION_TABLES.items() for opt in table if opt.domain
@@ -371,6 +395,16 @@ def _domain_ids(cases):
 
 def test_every_command_with_a_domain_has_a_base_scenario():
     assert {command for command, _ in DOMAIN_OPTS} == set(DOMAIN_BASE)
+
+
+def test_every_numeric_option_has_a_domain_or_is_listed():
+    numeric = {
+        (command, opt.name): opt.domain is not None
+        for command, table in _OPTION_TABLES.items()
+        for opt in table
+        if opt.typ in (int, float, _parse_floats)
+    }
+    assert {key for key, declared in numeric.items() if not declared} == UNDECLARED
 
 
 @pytest.mark.parametrize("command", sorted(DOMAIN_BASE))
@@ -537,6 +571,33 @@ def test_compare_rejects_non_finite_input(tmp_path, option, value):
     assert not (tmp_path / "compare.json").exists()
 
 
+@pytest.mark.parametrize("ybar", ["0", "1"])
+def test_compare_with_zero_pooled_variance_is_infeasible(tmp_path, capsys, ybar):
+    argv = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
+            "--ybar1", ybar, "--ybar2", ybar]
+    assert run(tmp_path, *argv) == 2
+    assert not (tmp_path / "compare.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: zero pooled variance")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["sir", "--beta", "1.4", "--gamma-rec", "0.2", "--i0", "2e6"], "--size/--i0/--r0"),
+        (["sir", "--beta", "1.4", "--gamma-rec", "0.2", "--r0", "2e6"], "--size/--i0/--r0"),
+        (["bias-curves", "--i0", "2e6"], "--size/--i0"),
+        (["rt-gap", "--size", "50"], "--size/--i0"),
+    ],
+    ids=["sir-i0", "sir-r0", "bias-curves", "rt-gap"],
+)
+def test_sir_joint_domain_names_the_flags(tmp_path, capsys, argv, flags):
+    assert run(tmp_path, *argv, "--horizon", "5") == 1
+    assert not any(tmp_path.iterdir())
+    assert f"error: {flags}: initial compartments must be nonnegative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["-0.1", "2"])
 @pytest.mark.parametrize("option", ["ybar1", "ybar2"])
 def test_compare_rejects_prevalence_outside_unit_interval(tmp_path, capsys, option, value):
@@ -547,7 +608,7 @@ def test_compare_rejects_prevalence_outside_unit_interval(tmp_path, capsys, opti
     argv = ["compare"] + [tok for key, val in args.items() for tok in (f"--{key}", val)]
     assert run(tmp_path, *argv) == 1
     assert not (tmp_path / "compare.json").exists()
-    assert "ybar_hat must lie in [0, 1]" in capsys.readouterr().err
+    assert f"--{option} must lie in [0, 1], got {float(value)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -557,7 +618,7 @@ def test_compare_rejects_prevalence_outside_unit_interval(tmp_path, capsys, opti
 def test_serial_interval_must_be_finite(tmp_path, capsys, command, filename, value):
     assert run(tmp_path, command, "--serial-interval", value, "--horizon", "20") == 1
     assert not (tmp_path / filename).exists()
-    assert "serial interval" in capsys.readouterr().err
+    assert f"--serial-interval must be finite and positive, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "2,inf", "2,-inf", "0"])

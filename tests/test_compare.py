@@ -43,6 +43,15 @@ def test_prevalence_z_equal_means():
     assert prevalence_z(summary(), summary()).z == 0.0
 
 
+@pytest.mark.parametrize("ybar", [0.0, 1.0])
+def test_prevalence_z_with_zero_pooled_variance_is_infeasible(ybar):
+    a, b = summary(size=328e6, f=0.023, ybar=ybar), summary(size=38e6, f=0.023, ybar=ybar)
+    with pytest.raises(InfeasibleScenarioError, match="zero pooled variance"):
+        prevalence_z(a, b)
+    with pytest.raises(InfeasibleScenarioError, match="zero pooled variance"):
+        prevalence_z(summary(), summary(), sigma_null=0.0)
+
+
 def test_prevalence_z_two_paths_agree():
     # With equal sampling fractions and unit adjustments, the analytic form
     # collapses to the population-adjusted quality difference.

@@ -23,7 +23,8 @@ from casebias import (
     realize,
     stats_from_counts,
 )
-from casebias.population import _realized_counts
+from casebias.decomposition import verify_identity
+from casebias.population import _below, _child_seed_words, _realized_counts
 
 FIELDS = [f.name for f in dataclasses.fields(EmpiricalStats)]
 
@@ -558,3 +559,57 @@ def test_realized_counts_replay_realize(meas, form):
             assert np.array_equal(got, want), (size, prevalence, rates)
             if form == "generator":
                 assert seed.random() == reference_seed.random()
+
+
+@pytest.mark.parametrize(
+    "master",
+    [
+        *[lambda e=e: np.random.SeedSequence(e) for e in (0, 1, 2**32, 2**63 - 1, 2**70 + 3)],
+        lambda: np.random.SeedSequence(),
+        lambda: np.random.SeedSequence((3, 2**40, 0)),
+        lambda: np.random.SeedSequence(np.arange(9, dtype=np.uint32)),
+        lambda: np.random.SeedSequence(5, spawn_key=(7, 2**33)),
+        lambda: np.random.SeedSequence(2**100 + 9, pool_size=8),
+        lambda: np.random.SeedSequence(11, n_children_spawned=40),
+    ],
+    ids=["0", "1", "2**32", "2**63-1", "2**70+3", "os-entropy", "tuple", "uint32-array",
+         "spawn-key", "pool-size-8", "spawned-before"],
+)
+def test_child_seed_words_equal_spawned_children_state(master):
+    master = master()
+    master.spawn(3)
+    before = master.n_children_spawned
+    got = _child_seed_words(master, 60)
+    assert master.n_children_spawned == before
+    want = np.array([c.generate_state(4, np.uint64) for c in master.spawn(60)])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_a_callers_seed_sequence_advances_by_the_replications():
+    pop = make_population(200, 0.2, seed=3)
+    sel, meas = SelectionModel(0.1, 0.3), MeasurementModel(0.01, 0.15)
+    seed = np.random.SeedSequence(8, n_children_spawned=5)
+    mc_expectation_reference(pop, sel, meas, "ybar_star", 12, seed)
+    assert seed.n_children_spawned == 17
+    verify_identity(pop, sel, meas, 9, seed)
+    assert seed.n_children_spawned == 26
+
+
+def _below_three_pass(u, pos, rate_pos, rate_neg):
+    lo, hi = min(rate_pos, rate_neg), max(rate_pos, rate_neg)
+    below = u < hi
+    below &= pos if rate_pos >= rate_neg else ~pos
+    below |= u < lo
+    return below
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.02, 0.5, 1.0])
+def test_below_with_equal_rates_is_the_three_pass_form(rate):
+    rng = np.random.default_rng(4)
+    u = np.concatenate([rng.random(500), [0.0, rate, np.nextafter(rate, 2.0)]])
+    pos = rng.random(u.size) < 0.3
+    got = _below(u, pos, rate, rate)
+    assert got.dtype == np.bool_
+    assert np.array_equal(got, _below_three_pass(u, pos, rate, rate))
+    assert np.array_equal(got, u < np.where(pos, rate, rate))
