@@ -6,7 +6,8 @@ outputs.  Exit codes: 0 success, 1 validation error, 2 infeasible scenario or
 failed verification.
 
 Every option given as a flag or in ``--config`` is checked against its declared
-domain when it is read, used or not, in a message that names the flag.
+domain when it is read, used or not, by the library's own check: the message
+reads ``--<name> must <wording>, got <value>``, as the library's does.
 """
 from __future__ import annotations
 
@@ -23,6 +24,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import __version__
+from ._domain import (
+    AT_LEAST_1, AT_LEAST_2, CORRELATION, DRIVER, ERROR_RATE, FINITE, FRACTION, NEFF,
+    NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE, SEED, UNIT, Domain, check,
+)
 from .population import (
     DegenerateSampleError,
     MeasurementModel,
@@ -103,26 +108,12 @@ class Opt:
     default: Any = None
     required: bool = False
     help: str = ""
-    domain: Optional[tuple] = None  # (wording, test): "--name must <wording>"
+    domain: Optional[Domain] = None
 
     @property
     def key(self) -> str:
         return self.name.replace("-", "_")
 
-
-# Shared domains.  Each test is written so that NaN fails it.
-_UNIT = ("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
-_FRACTION = ("lie in (0, 1]", lambda x: 0.0 < x <= 1.0)
-_OPEN_UNIT = ("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
-_POSITIVE = ("be finite and positive", lambda x: 0.0 < x < math.inf)
-_AT_LEAST_1 = ("be >= 1", lambda x: x >= 1)
-_AT_LEAST_2 = ("be >= 2", lambda x: x >= 2)
-_SEED = ("be a non-negative integer", lambda x: x >= 0)
-_NON_NEGATIVE = ("be finite and >= 0", lambda x: 0.0 <= x < math.inf)
-_FINITE = ("be finite", math.isfinite)
-_CORRELATION = ("lie in [-1, 1]", lambda x: -1.0 <= x <= 1.0)
-_NEFF = ("be finite and > 1", lambda x: 1.0 < x < math.inf)
-_POPULATION = ("be finite and >= 2", lambda x: 2.0 <= x < math.inf)
 
 _COMMON = [
     Opt("out", str, ".", help="output directory"),
@@ -131,87 +122,93 @@ _COMMON = [
 
 _OPTION_TABLES = {
     "decompose": [
-        Opt("ybar", float, required=True, help="true prevalence", domain=_UNIT),
-        Opt("f", float, required=True, help="overall tested fraction", domain=_FRACTION),
-        Opt("m", float, required=True, help="relative testing rate f1/f0", domain=_POSITIVE),
-        Opt("fp", float, 0.0), Opt("fn", float, 0.0),
+        Opt("ybar", float, required=True, help="true prevalence", domain=UNIT),
+        Opt("f", float, required=True, help="overall tested fraction", domain=FRACTION),
+        Opt("m", float, required=True, help="relative testing rate f1/f0", domain=POSITIVE),
+        Opt("fp", float, 0.0, domain=ERROR_RATE), Opt("fn", float, 0.0, domain=ERROR_RATE),
         Opt("empirical", _parse_bool, False, help="draw one realization instead"),
-        Opt("size", int, 100000, help="population size for --empirical", domain=_AT_LEAST_2),
-        Opt("seed", int, None, help="required with --empirical", domain=_SEED),
+        Opt("size", int, 100000, help="population size for --empirical", domain=AT_LEAST_2),
+        Opt("seed", int, None, help="required with --empirical", domain=SEED),
     ],
     "neff": [
-        Opt("f", float, required=True, domain=_OPEN_UNIT),
-        Opt("ybar-grid", _parse_floats, [0.016, 0.036, 0.056, 0.076, 0.096]),
-        Opt("m-grid", _parse_floats, [1.2, 1.4, 1.6, 1.8, 2.0]),
-        Opt("fp", float, None), Opt("fn", float, None),
+        Opt("f", float, required=True, domain=OPEN_UNIT),
+        Opt("ybar-grid", _parse_floats, [0.016, 0.036, 0.056, 0.076, 0.096], domain=OPEN_UNIT),
+        Opt("m-grid", _parse_floats, [1.2, 1.4, 1.6, 1.8, 2.0], domain=POSITIVE),
+        Opt("fp", float, None, domain=ERROR_RATE), Opt("fn", float, None, domain=ERROR_RATE),
     ],
     "sir": [
-        Opt("beta", float, required=True, domain=_POSITIVE),
-        Opt("gamma-rec", float, required=True, domain=_POSITIVE),
-        Opt("size", float, 1e6, domain=_POSITIVE), Opt("i0", float, 100.0, domain=_NON_NEGATIVE),
-        Opt("r0", float, 0.0, domain=_NON_NEGATIVE),
-        Opt("dt", float, 0.1, domain=_POSITIVE), Opt("horizon", int, 400, domain=_AT_LEAST_1),
+        Opt("beta", float, required=True, domain=POSITIVE),
+        Opt("gamma-rec", float, required=True, domain=POSITIVE),
+        Opt("size", float, 1e6, domain=POSITIVE), Opt("i0", float, 100.0, domain=NON_NEGATIVE),
+        Opt("r0", float, 0.0, domain=NON_NEGATIVE),
+        Opt("dt", float, 0.1, domain=POSITIVE), Opt("horizon", int, 400, domain=AT_LEAST_1),
     ],
     "bias-curves": [
-        Opt("beta", float, 1.4, domain=_POSITIVE), Opt("gamma-rec", float, 0.2, domain=_POSITIVE),
-        Opt("size", float, 1e6, domain=_POSITIVE), Opt("i0", float, 100.0, domain=_NON_NEGATIVE),
-        Opt("dt", float, 0.1, domain=_POSITIVE), Opt("horizon", int, 400, domain=_AT_LEAST_1),
-        Opt("f", float, 0.02, domain=_OPEN_UNIT), Opt("fp", float, 0.01), Opt("fn", float, 0.15),
-        Opt("m-grid", _parse_floats, [2.0, 4.0]),
-        Opt("serial-interval", float, 7.0, domain=_POSITIVE),
-        Opt("driver", str, "cases", help="cases or prevalence",
-            domain=("be cases or prevalence", lambda x: x in ("cases", "prevalence"))),
+        Opt("beta", float, 1.4, domain=POSITIVE), Opt("gamma-rec", float, 0.2, domain=POSITIVE),
+        Opt("size", float, 1e6, domain=POSITIVE), Opt("i0", float, 100.0, domain=NON_NEGATIVE),
+        Opt("dt", float, 0.1, domain=POSITIVE), Opt("horizon", int, 400, domain=AT_LEAST_1),
+        Opt("f", float, 0.02, domain=OPEN_UNIT),
+        Opt("fp", float, 0.01, domain=ERROR_RATE), Opt("fn", float, 0.15, domain=ERROR_RATE),
+        Opt("m-grid", _parse_floats, [2.0, 4.0], domain=POSITIVE),
+        Opt("serial-interval", float, 7.0, domain=POSITIVE),
+        Opt("driver", str, "cases", help="cases or prevalence", domain=DRIVER),
         Opt("exact-susceptible", _parse_bool, False),
     ],
     "rt-gap": [
-        Opt("beta-a", float, 1.4, domain=_POSITIVE), Opt("beta-b", float, 0.9, domain=_POSITIVE),
-        Opt("gamma-rec", float, 0.2, domain=_POSITIVE), Opt("size", float, 1e6, domain=_POSITIVE),
-        Opt("i0", float, 100.0, domain=_NON_NEGATIVE),
-        Opt("dt", float, 0.1, domain=_POSITIVE), Opt("horizon", int, 400, domain=_AT_LEAST_1),
-        Opt("f", float, 0.02, domain=_OPEN_UNIT), Opt("fp", float, 0.01), Opt("fn", float, 0.2),
-        Opt("m", float, 4.0, domain=_POSITIVE),
-        Opt("serial-interval", float, 7.0, domain=_POSITIVE),
+        Opt("beta-a", float, 1.4, domain=POSITIVE), Opt("beta-b", float, 0.9, domain=POSITIVE),
+        Opt("gamma-rec", float, 0.2, domain=POSITIVE), Opt("size", float, 1e6, domain=POSITIVE),
+        Opt("i0", float, 100.0, domain=NON_NEGATIVE),
+        Opt("dt", float, 0.1, domain=POSITIVE), Opt("horizon", int, 400, domain=AT_LEAST_1),
+        Opt("f", float, 0.02, domain=OPEN_UNIT),
+        Opt("fp", float, 0.01, domain=ERROR_RATE), Opt("fn", float, 0.2, domain=ERROR_RATE),
+        Opt("m", float, 4.0, domain=POSITIVE),
+        Opt("serial-interval", float, 7.0, domain=POSITIVE),
     ],
     "sensitivity": [
         Opt("f", float, required=True, help="tested fraction on the anchor day",
-            domain=_OPEN_UNIT),
-        Opt("fp", float, required=True), Opt("fn", float, required=True),
-        Opt("survey-prev", float, None, help="adjusted survey prevalence"),
-        Opt("observed-prev", float, None, help="adjusted case-count prevalence"),
-        Opt("fp-range", _parse_floats, None, help="lo,hi false-positive range"),
-        Opt("fn-range", _parse_floats, None, help="lo,hi false-negative range"),
+            domain=OPEN_UNIT),
+        Opt("fp", float, required=True, domain=ERROR_RATE),
+        Opt("fn", float, required=True, domain=ERROR_RATE),
+        Opt("survey-prev", float, None, help="adjusted survey prevalence", domain=OPEN_UNIT),
+        Opt("observed-prev", float, None, help="adjusted case-count prevalence",
+            domain=OPEN_UNIT),
+        Opt("fp-range", _parse_floats, None, help="lo,hi false-positive range",
+            domain=ERROR_RATE),
+        Opt("fn-range", _parse_floats, None, help="lo,hi false-negative range",
+            domain=ERROR_RATE),
         Opt("series", str, None, help="case-count CSV for the observed side"),
         Opt("cumulative", _parse_bool, False),
         Opt("date", str, None, help="anchor date (ISO) within --series"),
-        Opt("alpha", float, 0.3, help="smoothing weight for --series", domain=_FRACTION),
+        Opt("alpha", float, 0.3, help="smoothing weight for --series", domain=FRACTION),
         Opt("survey-raw", float, None, help="raw survey share, corrected internally",
-            domain=_UNIT),
+            domain=UNIT),
         Opt("ybar-anchor", float, None, help="override the anchor prevalence",
-            domain=_OPEN_UNIT),
+            domain=OPEN_UNIT),
     ],
     "compare": [
-        Opt("n1", float, required=True, domain=_POPULATION),
-        Opt("n2", float, required=True, domain=_POPULATION),
-        Opt("f1", float, required=True, domain=_OPEN_UNIT),
-        Opt("f2", float, required=True, domain=_OPEN_UNIT),
-        Opt("ybar1", float, required=True, domain=_UNIT),
-        Opt("ybar2", float, required=True, domain=_UNIT),
-        Opt("rho1", float, 0.0, domain=_CORRELATION), Opt("rho2", float, 0.0, domain=_CORRELATION),
-        Opt("d1", float, 1.0, domain=_FINITE), Opt("d2", float, 1.0, domain=_FINITE),
-        Opt("neff1", float, None, domain=_NEFF), Opt("neff2", float, None, domain=_NEFF),
+        Opt("n1", float, required=True, domain=POPULATION),
+        Opt("n2", float, required=True, domain=POPULATION),
+        Opt("f1", float, required=True, domain=OPEN_UNIT),
+        Opt("f2", float, required=True, domain=OPEN_UNIT),
+        Opt("ybar1", float, required=True, domain=UNIT),
+        Opt("ybar2", float, required=True, domain=UNIT),
+        Opt("rho1", float, 0.0, domain=CORRELATION), Opt("rho2", float, 0.0, domain=CORRELATION),
+        Opt("d1", float, 1.0, domain=FINITE), Opt("d2", float, 1.0, domain=FINITE),
+        Opt("neff1", float, None, domain=NEFF), Opt("neff2", float, None, domain=NEFF),
     ],
     "allocate": [
         Opt("strata", str, required=True, help="CSV stratum_id,share,prevalence"),
-        Opt("n", int, required=True, help="total sample size"),
-        Opt("population", float, None, help="population size for SRS comparison"),
+        Opt("n", int, required=True, help="total sample size", domain=AT_LEAST_1),
+        Opt("population", float, None, help="population size for SRS comparison",
+            domain=POPULATION),
     ],
     "mc-verify": [
-        Opt("seed", int, required=True, domain=_SEED),
-        Opt("reps", int, required=True, domain=_AT_LEAST_2),
-        Opt("size", int, 10000, domain=_AT_LEAST_2),
-        Opt("prevalence", float, 0.1, domain=_UNIT),
-        Opt("f0", float, 0.02, domain=_UNIT), Opt("f1", float, 0.04, domain=_UNIT),
-        Opt("fp", float, 0.01), Opt("fn", float, 0.15),
+        Opt("seed", int, required=True, domain=SEED),
+        Opt("reps", int, required=True, domain=AT_LEAST_2),
+        Opt("size", int, 10000, domain=AT_LEAST_2),
+        Opt("prevalence", float, 0.1, domain=UNIT),
+        Opt("f0", float, 0.02, domain=UNIT), Opt("f1", float, 0.04, domain=UNIT),
+        Opt("fp", float, 0.01, domain=ERROR_RATE), Opt("fn", float, 0.15, domain=ERROR_RATE),
     ],
 }
 
@@ -263,9 +260,7 @@ def _resolve(args: argparse.Namespace, table: list) -> dict:
                 raw = opt.typ(raw)
             except (TypeError, ValueError) as exc:
                 raise _CliError(f"--{opt.name}: {exc}") from None
-        if opt.domain is not None and not opt.domain[1](raw):
-            raise _CliError(f"--{opt.name} must {opt.domain[0]}, got {raw}")
-        resolved[opt.key] = raw
+        resolved[opt.key] = raw if opt.domain is None else check(f"--{opt.name}", raw, opt.domain)
     return resolved
 
 
@@ -347,11 +342,8 @@ def _cmd_decompose(opts: dict, caught: list) -> int:
         }
     else:
         # The analytic formulas need 0 < ybar < 1 and f < 1; a realization allows the ends.
-        for key in ("ybar", "f"):
-            if opts[key] in (0.0, 1.0):
-                raise _CliError(
-                    f"--{key} must lie strictly in (0, 1) without --empirical, got {opts[key]}"
-                )
+        check("--ybar", opts["ybar"], OPEN_UNIT)
+        check("--f", opts["f"], OPEN_UNIT)
         sel = _selection(opts, opts["ybar"])
         rho = binary_rho(sel.delta, opts["ybar"], opts["f"])
         rho_ipz = rho_ipz_from_rho_iy(rho, sel, meas, opts["ybar"])
@@ -556,8 +548,6 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
     lines = ["stratum_id,share,prevalence,neyman_n,proportional_n"]
     for i, (s, n_h, p_h) in enumerate(zip(strata, alloc, prop)):
         lines.append(f"{i},{s.share:.6g},{s.prevalence:.6g},{int(n_h)},{int(p_h)}")
-    out = Path(opts["out"])
-    _write(out / "allocation.csv", "\n".join(lines) + "\n")
     pooled = sum(s.share * s.prevalence for s in strata)
     outputs = {
         "neyman_variance": design_variance(strata, alloc),
@@ -565,8 +555,13 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
         "pooled_prevalence": pooled,
     }
     if opts["population"] is not None:
-        outputs["srs_variance"] = srs_variance(pooled, opts["n"], opts["population"])
+        try:
+            outputs["srs_variance"] = srs_variance(pooled, opts["n"], opts["population"])
+        except ValueError as exc:
+            raise _CliError(f"--n/--population: {exc}") from None
     outputs["srs_variance_wr"] = srs_variance(pooled, opts["n"], 0, fpc=False)
+    out = Path(opts["out"])
+    _write(out / "allocation.csv", "\n".join(lines) + "\n")
     _write_json(out / "allocation.json", opts, outputs, _flags(caught))
     return 0
 

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, UNIT, check
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
 from .estimators import InfeasibleScenarioError, _rt_error_series, _step_context, _warn_flagged
@@ -47,14 +48,10 @@ class PopulationSummary:
 
     def __post_init__(self):
         for name in ("size", "f", "ybar_hat", "rho", "d_m", "sigma_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.size >= 2:
-            raise ValueError("population size must be >= 2")
-        if not 0.0 < self.f < 1.0:
-            raise ValueError("f must lie strictly in (0, 1)")
-        if not 0.0 <= self.ybar_hat <= 1.0:
-            raise ValueError(f"ybar_hat must lie in [0, 1], got {self.ybar_hat}")
+            check(name, getattr(self, name), FINITE)
+        check("size", self.size, POPULATION)
+        check("f", self.f, OPEN_UNIT)
+        check("ybar_hat", self.ybar_hat, UNIT)
 
     @property
     def n(self) -> float:
@@ -115,8 +112,8 @@ def starred_z(rho1: float, rho2: float, n1: float, n2: float) -> float:
 
 def population_adjustment(n1: float, n2: float) -> float:
     """sqrt((N1-1)(N2-1)/(N1+N2)); about sqrt(min(N)-1) for lopsided sizes."""
-    if n1 < 2 or n2 < 2:
-        raise ValueError("population sizes must be >= 2")
+    check("n1", n1, POPULATION)
+    check("n2", n2, POPULATION)
     return math.sqrt((n1 - 1.0) * (n2 - 1.0) / (n1 + n2))
 
 
@@ -128,8 +125,10 @@ def delta_diff_threshold(n1: float, n2: float, f: float, ybar: float) -> float:
     form).  Around 10% prevalence and a few-percent f the rho factor is close
     to 2, so the threshold is roughly 1/(2 * adjustment).
     """
-    if not 0.0 < f < 1.0 or not 0.0 < ybar < 1.0:
-        raise ValueError("f and ybar must lie strictly in (0, 1)")
+    check("n1", n1, POPULATION)
+    check("n2", n2, POPULATION)
+    check("f", f, OPEN_UNIT)
+    check("ybar", ybar, OPEN_UNIT)
     rho_factor = math.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
     adj_exact = math.sqrt((n1 - 1.0) * (n2 - 1.0) / (n1 + n2 - 2.0))
     return 1.0 / (rho_factor * adj_exact)
@@ -147,10 +146,9 @@ def z_eff(
 
     (ybar1 - ybar2) / [ ((1-f)/f) * sigma * sqrt(1/(neff1-1) + 1/(neff2-1)) ].
     """
-    if not (1.0 < neff1 < math.inf and 1.0 < neff2 < math.inf):
-        raise ValueError("effective sample sizes must be finite and exceed 1")
-    if not 0.0 < f < 1.0:
-        raise ValueError("f must lie strictly in (0, 1)")
+    check("neff1", neff1, NEFF)
+    check("neff2", neff2, NEFF)
+    check("f", f, OPEN_UNIT)
     denom = (1.0 - f) / f * sigma_y * math.sqrt(
         1.0 / (neff1 - 1.0) + 1.0 / (neff2 - 1.0)
     )

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import AT_LEAST_1, ERROR_RATE, FINITE, OPEN_UNIT, POSITIVE, check
 from .population import (
     EmpiricalStats,
     FinitePopulation,
     MeasurementModel,
     SelectionModel,
     SeedLike,
-    _all,
     _realized_counts,
     _usable,
     stats_from_counts,
@@ -80,18 +80,13 @@ class AdjustmentFactors:
     d_m: float
 
 
-def _check_fraction(f: float) -> None:
-    if not _all((0.0 < f) & (f < 1.0)):
-        raise ValueError(f"sampling fraction must lie strictly in (0, 1), got {f}")
-
-
 def _float_or_array(value):
     return value if isinstance(value, np.ndarray) else float(value)
 
 
 def selection_error(rho_iy: float, f: float, sigma_y: float) -> float:
     """Error of the sample mean: data quality x data quantity x difficulty."""
-    _check_fraction(f)
+    check("sampling fraction", f, OPEN_UNIT)
     return rho_iy * np.sqrt((1.0 - f) / f) * sigma_y
 
 
@@ -117,7 +112,7 @@ def imperfect_error(
     sigma_y : optional override of sqrt(ybar*(1-ybar)); used with empirical
         inputs where the population difficulty is known exactly.
     """
-    _check_fraction(f)
+    check("sampling fraction", f, OPEN_UNIT)
     if sigma_y is None:
         sigma_y = np.sqrt(ybar * (1.0 - ybar))
     dq = rho_iy * sigma_y
@@ -148,8 +143,7 @@ def verify_identity(pop: FinitePopulation, sel: SelectionModel, meas: Measuremen
     ``worst`` is max |total_error - (ybar* - Ybar)| / max(|ybar* - Ybar|, 1e-2) over
     the ``usable`` (non-degenerate) replications, 0.0 when there are none.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    check("replications", replications, AT_LEAST_1)
     stats = _usable(*stats_from_counts(pop, _realized_counts(pop, sel, meas, replications, seed)))
     lhs = stats.ybar_star - pop.prevalence
     residual = np.abs(decompose_realization(pop, stats).total_error - lhs)
@@ -199,11 +193,8 @@ def rho_ipz_from_rho_iy(
     (the scenario brackets ``meas_adjustment``/``d_m`` follow a different,
     scenario-level convention and are not consistent with this coefficient).
     """
-    if not 0.0 < ybar < 1.0:
-        raise ValueError("prevalence must lie strictly in (0, 1)")
-    f = sel.overall_fraction(ybar)
-    if f <= 0.0:
-        raise ValueError("overall sampling fraction must be positive")
+    check("ybar", ybar, OPEN_UNIT)
+    check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
     sigma_pz = sigma_pz_analytic(ybar, meas, exact=True)
     if sigma_pz == 0.0:
         # No misclassification anywhere: PZ is identically zero.
@@ -214,11 +205,8 @@ def rho_ipz_from_rho_iy(
 
 def _bracket(base: float, sel: SelectionModel, meas: MeasurementModel, ybar):
     """base - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f, elementwise."""
-    if not _all(ybar < 1.0):
-        raise ValueError("prevalence must be < 1")
-    f = sel.overall_fraction(ybar)
-    if not _all(f > 0.0):
-        raise ValueError("overall sampling fraction must be positive")
+    check("ybar", ybar, ERROR_RATE)
+    f = check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
     return _float_or_array(base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f)
 
 
@@ -233,8 +221,7 @@ def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) ->
 
 def meas_adjustment_rel(rel_rate: float, meas: MeasurementModel, ybar: float) -> float:
     """Relative-rate form of the adjustment; depends only on (M, Ybar, FP, FN)."""
-    if ybar >= 1.0:
-        raise ValueError("prevalence must be < 1")
+    check("ybar", ybar, ERROR_RATE)
     mix = _flip_mass(meas, ybar)
     return float(
         1.0
@@ -272,8 +259,7 @@ def corrected_prevalence(
     sampling.  Results outside [0, 1] are clamped and flagged with a warning
     rather than silently truncated; a non-finite input raises ValueError.
     """
-    if not np.isfinite(ybar_star):
-        raise ValueError(f"observed prevalence must be finite, got {ybar_star}")
+    check("observed prevalence", ybar_star, FINITE)
     if method == "linear":
         value = ybar_star + meas.fn * ybar_star - meas.fp * (1.0 - ybar_star)
     elif method == "inverse":
@@ -303,5 +289,5 @@ def trial_effect_bias(beta1: float, exp_rho_iu: float, f: float, sigma_u: float)
     ``selection_error``; under this convention the bias grows with the recruited
     fraction.
     """
-    _check_fraction(f)
+    check("sampling fraction", f, OPEN_UNIT)
     return float(beta1 * exp_rho_iu * np.sqrt(f / (1.0 - f)) * sigma_u)

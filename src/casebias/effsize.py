@@ -21,7 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .population import MeasurementModel, SelectionModel, PERFECT_TEST, _all
+from ._domain import AT_LEAST_2, OPEN_UNIT, check
+from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .decomposition import d_m, meas_adjustment
 
 __all__ = [
@@ -48,13 +49,9 @@ class EffSizeScenario:
     meas: Optional[MeasurementModel] = None
 
     def __post_init__(self):
-        if not 0.0 < self.ybar < 1.0:
-            raise ValueError("ybar must lie strictly in (0, 1)")
-        if not 0.0 < self.f < 1.0:
-            raise ValueError("f must lie strictly in (0, 1)")
-        if self.rel_rate <= 0.0:
-            raise ValueError("rel_rate must be positive")
-        sel = self.selection
+        check("ybar", self.ybar, OPEN_UNIT)
+        check("f", self.f, OPEN_UNIT)
+        sel = self.selection  # checks rel_rate
         if not 0.0 < sel.f0 <= 1.0 or sel.f1 > 1.0:
             raise ValueError("derived testing rates leave [0, 1]")
 
@@ -73,10 +70,8 @@ class EffSizeScenario:
 
 def binary_rho(delta: float, ybar: float, f: float) -> float:
     """Binary-outcome data quality Delta * sqrt(Ybar(1-Ybar)/(f(1-f))), elementwise."""
-    if not _all((0.0 < ybar) & (ybar < 1.0)):
-        raise ValueError("ybar must lie strictly in (0, 1)")
-    if not 0.0 < f < 1.0:
-        raise ValueError("f must lie strictly in (0, 1)")
+    check("ybar", ybar, OPEN_UNIT)
+    check("f", f, OPEN_UNIT)
     rho = delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
     return rho if isinstance(rho, np.ndarray) else float(rho)
 
@@ -136,8 +131,7 @@ def format_neff_table(
 
 def mse_vs_srs(size: int, exp_rho_sq: float) -> float:
     """MSE relative to equal-probability sampling: (N-1) * E[rho^2]."""
-    if size < 2:
-        raise ValueError("size must be >= 2")
+    check("size", size, AT_LEAST_2)
     return float((size - 1) * exp_rho_sq)
 
 

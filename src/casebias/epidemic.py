@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._domain import AT_LEAST_1, NON_NEGATIVE, POSITIVE, check
+
 __all__ = [
     "SirParams",
     "SirTrajectory",
@@ -41,17 +43,13 @@ class SirParams:
     horizon: int = 400
 
     def __post_init__(self):
-        values = (self.beta, self.gamma_rec, self.dt, self.size, self.s0, self.i0, self.r0)
-        if not np.isfinite(values).all():
-            raise ValueError(f"SIR parameters must be finite, got {values}")
-        if self.beta <= 0.0 or self.gamma_rec <= 0.0:
-            raise ValueError("beta and gamma_rec must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if min(self.s0, self.i0, self.r0) < 0.0:
-            raise ValueError("initial compartments must be nonnegative")
+        for name in ("beta", "gamma_rec", "size", "dt"):
+            check(name, getattr(self, name), POSITIVE)
+        check("horizon", self.horizon, AT_LEAST_1)
+        check("i0", self.i0, NON_NEGATIVE)
+        check("r0", self.r0, NON_NEGATIVE)
+        if not 0.0 <= self.s0 < math.inf:
+            raise ValueError(f"initial compartments must be nonnegative, got s0 = {self.s0}")
         if not np.isclose(self.s0 + self.i0 + self.r0, self.size, rtol=1e-9):
             raise ValueError("s0 + i0 + r0 must equal the population size")
 
@@ -169,15 +167,9 @@ def true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
     return out
 
 
-def _check_serial_interval(serial_interval: float) -> None:
-    """Reject a serial interval that is not finite and positive (NaN fails too)."""
-    if not (math.isfinite(serial_interval) and serial_interval > 0.0):
-        raise ValueError(f"serial interval must be finite and positive, got {serial_interval}")
-
-
 def _true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
     """``true_rt`` without the warning, for callers that report skipped steps themselves."""
-    _check_serial_interval(serial_interval)
+    check("serial interval", serial_interval, POSITIVE)
     k = traj.new_cases
     out = np.full(k.size, np.nan)
     valid = (k[1:] > 0.0) & (k[:-1] > 0.0)

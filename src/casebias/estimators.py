@@ -19,10 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .population import MeasurementModel, SelectionModel, _all
+from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check
+from .population import MeasurementModel, SelectionModel
 from .decomposition import _flip_mass, corrected_prevalence, d_m
 from .effsize import binary_rho
-from .epidemic import SirTrajectory, _check_serial_interval
+from .epidemic import SirTrajectory
 
 __all__ = [
     "InfeasibleScenarioError",
@@ -60,10 +61,8 @@ class PeriodStats:
     ybar: float
 
     def __post_init__(self):
-        if not _all((0.0 < self.f) & (self.f < 1.0)):
-            raise ValueError("f must lie strictly in (0, 1)")
-        if not _all(self.cv >= 0.0):
-            raise ValueError("cv must be nonnegative")
+        check("f", self.f, OPEN_UNIT)
+        check("cv", self.cv, AT_LEAST_0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,7 @@ def ratio_bias(ctx: TwoPeriodContext) -> float:
     error levels.  Zero exactly when data quality, quantity, difficulty and
     measurement adjustment all repeat across periods.
     """
-    if not _all(ctx.prev.ybar > 0.0):
-        raise ValueError("previous-period prevalence must be positive")
+    check("previous-period prevalence", ctx.prev.ybar, POSITIVE)
     e_prev = error_level(ctx.prev)
     e_curr = error_level(ctx.curr)
     return (ctx.curr.ybar / ctx.prev.ybar) * (e_curr - e_prev) * (1.0 - e_prev)
@@ -94,17 +92,16 @@ def ratio_bias(ctx: TwoPeriodContext) -> float:
 
 def rt_estimate(ybar_t: float, ybar_prev: float, serial_interval: float) -> float:
     """Reproduction-number estimate 1 + log(ybar_t/ybar_{t-1}) / serial_interval."""
-    if ybar_t <= 0.0 or ybar_prev <= 0.0:
-        raise ValueError("both inputs must be positive")
-    _check_serial_interval(serial_interval)
+    check("ybar_t", ybar_t, POSITIVE)
+    check("ybar_prev", ybar_prev, POSITIVE)
+    check("serial interval", serial_interval, POSITIVE)
     return 1.0 + math.log(ybar_t / ybar_prev) / serial_interval
 
 
 def _log_error(ctx: TwoPeriodContext, s_ratio, serial_interval: float):
     """``rt_error`` for scalar or array contexts, with NaN where e <= -1."""
-    if not _all((0.0 < s_ratio) & (s_ratio <= 1.0)):
-        raise ValueError("s_ratio must lie in (0, 1]")
-    _check_serial_interval(serial_interval)
+    check("s_ratio", s_ratio, FRACTION)
+    check("serial interval", serial_interval, POSITIVE)
     e_prev = error_level(ctx.prev)
     e = (error_level(ctx.curr) - e_prev) * (1.0 - e_prev)
     return (np.log1p(np.where(e > -1.0, e, np.nan)) - np.log(s_ratio)) / serial_interval
@@ -137,8 +134,7 @@ def period_stats_analytic(
     deviation, sqrt((1-ybar)/ybar).  Broadcasts over array ``ybar`` and
     ``rel_rate``; scalars give float fields.
     """
-    if not _all((0.0 < ybar) & (ybar < 1.0)):
-        raise ValueError("ybar must lie strictly in (0, 1)")
+    check("ybar", ybar, OPEN_UNIT)
     sel = SelectionModel.from_relative_rate(f, rel_rate, ybar)
     rho = binary_rho(sel.delta, ybar, f)
     adj = d_m(sel, meas, ybar)
@@ -207,8 +203,7 @@ def bias_curves(
     new-case series, with the susceptible ratio set to 1 unless
     ``exact_susceptible`` pulls it from the trajectory.
     """
-    if driver not in ("cases", "prevalence"):
-        raise ValueError(f"unknown driver {driver!r}")
+    check("driver", driver, DRIVER)
     k_frac = traj.new_case_fraction
     ratio_series = k_frac if driver == "cases" else traj.prevalence[: k_frac.size]
     n_steps = k_frac.size
@@ -249,8 +244,7 @@ def bias_curves_csv(curves: BiasCurves) -> str:
 
 def exp_smooth(series: Sequence[float], alpha: float) -> np.ndarray:
     """Exponential smoothing s_0 = x_0, s_t = alpha*x_t + (1-alpha)*s_{t-1}."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    check("alpha", alpha, FRACTION)
     arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("series must be nonempty")
@@ -345,15 +339,15 @@ def estimate_relative_sampling(
     raw survey share is recovered by inverting the central correction, then
     re-adjusted at each corner, which moves the error, the anchor, and the
     adjustment together.  The observed adjusted prevalence is held as given.
+    A corner that corrects the survey share to 0 or 1 leaves no anchor and
+    raises InfeasibleScenarioError.
     """
-    if not 0.0 < f < 1.0:
-        raise ValueError("f must lie strictly in (0, 1)")
-    for name, v in (("survey", survey_prev_adjusted), ("observed", observed_prev_adjusted)):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"{name} prevalence must lie strictly in (0, 1)")
-    if ybar_anchor is not None and not 0.0 < ybar_anchor < 1.0:
-        raise ValueError(f"ybar_anchor must lie strictly in (0, 1), got {ybar_anchor}")
-    anchor = survey_prev_adjusted if ybar_anchor is None else ybar_anchor
+    check("f", f, OPEN_UNIT)
+    check("survey prevalence", survey_prev_adjusted, OPEN_UNIT)
+    check("observed prevalence", observed_prev_adjusted, OPEN_UNIT)
+    anchor = survey_prev_adjusted
+    if ybar_anchor is not None:
+        anchor = check("ybar_anchor", ybar_anchor, OPEN_UNIT)
     error = observed_prev_adjusted - survey_prev_adjusted
 
     rho_dm, delta, rel_rate, f0, f1 = _invert_once(error, anchor, f, meas)
@@ -366,6 +360,11 @@ def estimate_relative_sampling(
             for fn_c in (fn_lo, fn_hi):
                 meas_c = MeasurementModel(fp=fp_c, fn=fn_c)
                 survey_c = corrected_prevalence(survey_raw, meas_c)
+                if not OPEN_UNIT.test(survey_c):
+                    raise InfeasibleScenarioError(
+                        f"the corner fp = {fp_c:g}, fn = {fn_c:g} corrects the survey "
+                        f"share to {survey_c:g}, outside (0, 1)"
+                    )
                 error_c = observed_prev_adjusted - survey_c
                 _, _, m_c, _, _ = _invert_once(error_c, survey_c, f, meas_c)
                 ci_low = min(ci_low, m_c)
@@ -387,10 +386,8 @@ def survey_interval(p_raw: float, n: int, z: float = 2.0) -> tuple:
 
     Ends outside [0, 1] are clamped and flagged with a warning, as in ``corrected_prevalence``.
     """
-    if not 0.0 < p_raw < 1.0:
-        raise ValueError("survey share must lie strictly in (0, 1)")
-    if n < 2:
-        raise ValueError("survey size must be >= 2")
+    check("p_raw", p_raw, OPEN_UNIT)
+    check("n", n, AT_LEAST_2)
     half = z * math.sqrt(p_raw * (1.0 - p_raw) / n)
     lo, hi = p_raw - half, p_raw + half
     if lo < 0.0 or hi > 1.0:

@@ -48,6 +48,8 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from ._domain import AT_LEAST_2, ERROR_RATE, POSITIVE, UNIT, check
+
 __all__ = [
     "DegenerateSampleError",
     "FinitePopulation",
@@ -67,11 +69,6 @@ __all__ = [
 ]
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
-
-
-def _all(ok) -> bool:
-    """``all`` for a bool or a bool array, without ``np.all``'s cost on scalars."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
 
 
 class DegenerateSampleError(RuntimeError):
@@ -127,10 +124,8 @@ class SelectionModel:
     f1: float
 
     def __post_init__(self):
-        for name in ("f0", "f1"):
-            v = getattr(self, name)
-            if not _all((0.0 <= v) & (v <= 1.0)):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        check("f0", self.f0, UNIT)
+        check("f1", self.f1, UNIT)
 
     @property
     def delta(self) -> float:
@@ -155,10 +150,8 @@ class SelectionModel:
         Inverts f = f1*prev + f0*(1-prev) with f1 = rel_rate * f0, i.e.
         f0 = f / (prev*(rel_rate - 1) + 1).
         """
-        if not _all((0.0 < rel_rate) & (rel_rate < np.inf)):
-            raise ValueError(f"relative rate must be finite and positive, got {rel_rate}")
-        if not _all((0.0 <= prevalence) & (prevalence <= 1.0)):
-            raise ValueError(f"prevalence must lie in [0, 1], got {prevalence}")
+        check("relative rate", rel_rate, POSITIVE)
+        check("prevalence", prevalence, UNIT)
         f0 = f / (prevalence * (rel_rate - 1.0) + 1.0)
         return cls(f0=f0, f1=rel_rate * f0)
 
@@ -171,10 +164,8 @@ class MeasurementModel:
     fn: float
 
     def __post_init__(self):
-        for name in ("fp", "fn"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
+        check("fp", self.fp, ERROR_RATE)
+        check("fn", self.fn, ERROR_RATE)
         if self.fp + self.fn >= 1.0:
             # fp + fn < 1 keeps the test more informative than a coin flip and
             # the linear correction invertible.
@@ -248,10 +239,8 @@ def make_population(size: int, prevalence: float, seed: SeedLike) -> FinitePopul
     The count is deterministic so that the prevalence and problem difficulty
     are known constants; only the placement of positives is randomized.
     """
-    if size < 2:
-        raise ValueError("size must be >= 2")
-    if not 0.0 <= prevalence <= 1.0:
-        raise ValueError("prevalence must lie in [0, 1]")
+    check("size", size, AT_LEAST_2)
+    check("prevalence", prevalence, UNIT)
     ones = int(round(prevalence * size))
     rng = np.random.default_rng(seed)
     outcomes = np.zeros(size, dtype=np.int8)
@@ -434,8 +423,7 @@ FUNCTIONALS = {
 
 
 def _check_request(functional: Functional, replications: int) -> None:
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
+    check("replications", replications, AT_LEAST_2)
     if isinstance(functional, str) and functional not in FUNCTIONALS:
         raise ValueError(
             f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}"

@@ -8,6 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._domain import FRACTION, OPEN_UNIT, POPULATION, POSITIVE, UNIT, check
+
 __all__ = [
     "Stratum",
     "validate_strata",
@@ -27,10 +29,8 @@ class Stratum:
     prevalence: float
 
     def __post_init__(self):
-        if not 0.0 < self.share <= 1.0:
-            raise ValueError("share must lie in (0, 1]")
-        if not 0.0 <= self.prevalence <= 1.0:
-            raise ValueError("prevalence must lie in [0, 1]")
+        check("share", self.share, FRACTION)
+        check("prevalence", self.prevalence, UNIT)
 
     @property
     def sd(self) -> float:
@@ -120,16 +120,13 @@ def srs_variance(pop_prevalence: float, n: float, size: float, fpc: bool = True)
     ``fpc=True`` gives (1/(N-1)) * ((1-f)/f) * sigma^2 with f = n/N; without
     the correction this reduces to sigma^2 / n.
     """
+    check("pop_prevalence", pop_prevalence, UNIT)
     sigma_sq = pop_prevalence * (1.0 - pop_prevalence)
     if fpc:
-        if size < 2:
-            raise ValueError("population size must be >= 2")
-        f = n / size
-        if not 0.0 < f < 1.0:
-            raise ValueError("sampling fraction must lie strictly in (0, 1)")
+        check("size", size, POPULATION)
+        f = check("sampling fraction n / size", n / size, OPEN_UNIT)
         return float(sigma_sq * (1.0 - f) / f / (size - 1.0))
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check("n", n, POSITIVE)
     return float(sigma_sq / n)
 
 

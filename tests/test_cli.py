@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from casebias import _domain, cli
 from casebias.cli import _OPTION_TABLES, _build_parser, _parse_floats, _resolve, main
 
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
@@ -341,7 +342,9 @@ def test_allocation_failure_is_an_error_line(tmp_path, capsys, monkeypatch, argv
     assert "Traceback" not in err
 
 
-# A scenario each command runs to exit 0, and the file it writes.
+STRATA = "stratum_id,share,prevalence\na,0.8,0.01\nb,0.2,0.25\n"
+# A scenario each command runs to exit 0, and the file it writes; "{tmp}" is the
+# test's directory, where allocate's strata file is written.
 DOMAIN_BASE = {
     "decompose": ({"ybar": "0.091", "f": "0.026", "m": "2"}, "decomposition.json"),
     "neff": ({"f": "0.026"}, "neff_table.csv"),
@@ -358,6 +361,9 @@ DOMAIN_BASE = {
          "ybar2": "0.1", "neff1": "15", "neff2": "15"},
         "compare.json",
     ),
+    "allocate": (
+        {"strata": "{tmp}/strata.csv", "n": "1000", "population": "1e6"}, "allocation.csv"
+    ),
     "mc-verify": ({"seed": "1", "reps": "10", "size": "1000"}, "mc_verify.json"),
 }
 # One value outside each declared domain; a name shared by commands is outside all of them.
@@ -369,21 +375,14 @@ OUT_OF_DOMAIN = {
     "i0": "-1", "r0": "inf", "serial-interval": "-7",
     "n1": "1", "n2": "inf", "f2": "1", "ybar1": "-0.1", "ybar2": "nan", "rho1": "5",
     "rho2": "-1.5", "d1": "inf", "d2": "nan", "neff1": "1", "neff2": "-inf",
+    "fp": "1", "fn": "-0.1", "ybar-grid": "0.1,1", "m-grid": "2,inf", "fp-range": "0,1",
+    "fn-range": "-0.1,0.1", "survey-prev": "0", "observed-prev": "nan", "n": "0",
+    "population": "1",
 }
-# Numeric options with no declared domain, and why.
-UNDECLARED = {
-    # --fp and --fn are checked together by MeasurementModel, through cli._meas, whose
-    # message names both flags: fp + fn < 1 is no single option's domain.
-    *[(command, name) for command in ("decompose", "neff", "bias-curves", "rt-gap",
-                                      "sensitivity", "mc-verify") for name in ("fp", "fn")],
-    # Lists are checked element-wise by the library, in messages that name no flag.
-    ("neff", "ybar-grid"), ("neff", "m-grid"), ("bias-curves", "m-grid"),
-    ("sensitivity", "fp-range"), ("sensitivity", "fn-range"),
-    # Checked by estimate_relative_sampling and the allocation functions, in
-    # messages that name no flag.
-    ("sensitivity", "survey-prev"), ("sensitivity", "observed-prev"),
-    ("allocate", "n"), ("allocate", "population"),
-}
+# Numeric options with no declared domain, and why.  Every numeric option has one;
+# joint conditions (fp + fn < 1, s0 + i0 + r0 = size, n < population) are checked
+# where the options meet, in messages that name every flag involved.
+UNDECLARED: set = set()
 DOMAIN_OPTS = [
     (command, opt) for command, table in _OPTION_TABLES.items() for opt in table if opt.domain
 ]
@@ -391,6 +390,15 @@ DOMAIN_OPTS = [
 
 def _domain_ids(cases):
     return [f"{command}-{opt.name}" for command, opt in cases]
+
+
+def _base_argv(tmp_path, command, skip=None):
+    """Flags of ``command``'s base scenario without ``--skip``."""
+    base, _ = DOMAIN_BASE[command]
+    if "strata" in base:
+        (tmp_path / "strata.csv").write_text(STRATA)
+    return [tok for key, val in base.items() if key != skip
+            for tok in (f"--{key}", val.format(tmp=tmp_path))]
 
 
 def test_every_command_with_a_domain_has_a_base_scenario():
@@ -409,8 +417,8 @@ def test_every_numeric_option_has_a_domain_or_is_listed():
 
 @pytest.mark.parametrize("command", sorted(DOMAIN_BASE))
 def test_domain_base_scenarios_run(tmp_path, command):
-    base, filename = DOMAIN_BASE[command]
-    argv = [tok for key, val in base.items() for tok in (f"--{key}", val)]
+    argv = _base_argv(tmp_path, command)
+    filename = DOMAIN_BASE[command][1]
     assert run(tmp_path, command, *argv) == 0
     assert (tmp_path / filename).exists()
 
@@ -419,9 +427,9 @@ def test_domain_base_scenarios_run(tmp_path, command):
 @pytest.mark.parametrize("command, opt", DOMAIN_OPTS, ids=_domain_ids(DOMAIN_OPTS))
 def test_declared_domain_is_checked(tmp_path, capsys, command, opt, source):
     # The base scenario runs to exit 0 without this one out-of-domain value.
-    base, filename = DOMAIN_BASE[command]
+    filename = DOMAIN_BASE[command][1]
     bad = OUT_OF_DOMAIN[opt.name]
-    argv = [tok for key, val in base.items() if key != opt.name for tok in (f"--{key}", val)]
+    argv = _base_argv(tmp_path, command, skip=opt.name)
     if source == "flag":
         argv.append(f"--{opt.name}={bad}")
     else:
@@ -440,6 +448,20 @@ FLOAT_DOMAIN_OPTS = [(command, opt) for command, opt in DOMAIN_OPTS if opt.typ i
 @pytest.mark.parametrize("command, opt", FLOAT_DOMAIN_OPTS, ids=_domain_ids(FLOAT_DOMAIN_OPTS))
 def test_float_domains_reject_nan(command, opt):
     assert not opt.domain[1](float("nan"))
+
+
+def _is_domain(value):
+    return (isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], str)
+            and callable(value[1]))
+
+
+def test_every_domain_is_one_of_the_shared_vocabulary():
+    # The CLI and the library word and test a domain in one place, casebias._domain.
+    shared = {id(value) for value in vars(_domain).values() if isinstance(value, _domain.Domain)}
+    declared = [opt.domain for table in _OPTION_TABLES.values() for opt in table if opt.domain]
+    own = [value for value in vars(cli).values() if _is_domain(value)]
+    assert declared and own
+    assert {id(domain) for domain in declared + own} <= shared
 
 
 def test_sir_writes_trajectory(tmp_path):
@@ -482,6 +504,32 @@ def test_allocate(tmp_path):
     assert lines[1].endswith("479,800")
     payload = json.loads((tmp_path / "allocation.json").read_text())
     assert payload["outputs"]["neyman_variance"] <= payload["outputs"]["proportional_variance"]
+
+
+@pytest.mark.parametrize("population", ["1", "nan", "500"])
+def test_allocate_bad_population_writes_nothing(tmp_path, capsys, population):
+    # 1 and nan fail --population's domain; 500 fails the joint n < population.
+    strata = tmp_path / "strata.csv"
+    strata.write_text(STRATA)
+    argv = ["allocate", "--strata", str(strata), "--n", "1000", "--population", population]
+    out = tmp_path / "out"
+    assert run(out, *argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --")
+    assert "--population" in err
+    assert "Traceback" not in err
+
+
+def test_sensitivity_corner_that_empties_the_survey_is_infeasible(tmp_path, capsys):
+    # At fp = 0.1 the raw survey share corrects (and clamps) to 0: no anchor is left.
+    argv = ["sensitivity", "--f", "0.02", "--fp", "0.01", "--fn", "0.1", "--survey-prev", "0.05",
+            "--observed-prev", "0.1", "--fp-range", "0.01,0.1", "--fn-range", "0,0.1"]
+    assert run(tmp_path, *argv) == 2
+    assert not (tmp_path / "sensitivity.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: the corner fp = 0.1")
+    assert "Traceback" not in err
 
 
 def test_config_file_and_override(tmp_path):
@@ -626,7 +674,7 @@ def test_bias_curves_rejects_non_finite_relative_rate(tmp_path, capsys, value):
     assert run(tmp_path, "bias-curves", "--m-grid", value, "--horizon", "20") == 1
     assert not (tmp_path / "bias_curves.csv").exists()
     err = capsys.readouterr().err
-    assert "relative rate must be finite and positive" in err
+    assert "--m-grid must be finite and positive, got " in err
     assert len(err) < 200
 
 

@@ -366,6 +366,15 @@ def test_estimate_relative_sampling_validation():
         estimate_relative_sampling(0.2, 0.3, 0.0, MEAS_REF)
 
 
+def test_inversion_corner_that_corrects_the_survey_to_zero_is_infeasible():
+    # The raw survey share ~0.058 corrects (and clamps) to 0 at fp = 0.1, leaving
+    # no anchor prevalence for that corner.
+    meas = MeasurementModel(fp=0.01, fn=0.1)
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        with pytest.raises(InfeasibleScenarioError, match="corner fp = 0.1, fn = 0 "):
+            estimate_relative_sampling(0.05, 0.1, 0.02, meas, meas_ranges=((0.01, 0.1), (0.0, 0.1)))
+
+
 def test_survey_interval():
     lo, hi = survey_interval(0.139, 3000)
     half = 2.0 * math.sqrt(0.139 * 0.861 / 3000.0)
@@ -386,6 +395,14 @@ def test_survey_interval_clamps_and_flags():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         survey_interval(0.139, 3000)
+
+
+def test_period_stats_accept_an_infinite_cv():
+    # A share that underflows toward 0, as in a long SIR tail, has cv = inf; bias_curves
+    # flags such a step rather than rejecting the run.
+    with np.errstate(over="ignore"):
+        stats = period_stats_analytic(np.array([0.01, 5e-324]), 0.02, 2.0, MEAS_REF)
+    assert stats.cv[1] == math.inf
 
 
 def test_period_stats_analytic_consistency():
