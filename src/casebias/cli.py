@@ -375,7 +375,10 @@ def _cmd_neff(opts: dict, caught: list) -> int:
         raise _CliError("--fp and --fn must be given together")
     if opts["fp"] is not None:
         meas = _meas(opts)
-    table = neff_table(opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
+    try:
+        table = neff_table(opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
+    except ValueError as exc:
+        raise _CliError(f"--f/--m-grid/--ybar-grid: {exc}") from None
     _write(
         Path(opts["out"]) / "neff_table.csv",
         format_neff_table(table, opts["ybar_grid"], opts["m_grid"]),
@@ -473,6 +476,9 @@ def _cmd_sensitivity(opts: dict, caught: list) -> int:
         if len(opts["fp_range"]) != 2 or len(opts["fn_range"]) != 2:
             raise _CliError("--fp-range/--fn-range must be lo,hi pairs")
         meas_ranges = (tuple(opts["fp_range"]), tuple(opts["fn_range"]))
+        # Each end is a valid rate; the corner of the two highest can still break fp + fn < 1.
+        _meas({"fp-range": max(opts["fp_range"]), "fn-range": max(opts["fn_range"])},
+              "fp-range", "fn-range")
     result = estimate_relative_sampling(
         survey_prev_adjusted=survey,
         observed_prev_adjusted=observed,

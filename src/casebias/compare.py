@@ -273,8 +273,8 @@ def rt_gap(
 def rt_gap_csv(gap: RtGap) -> str:
     """CSV rows step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap."""
     cols = (gap.true_a, gap.true_b, gap.est_a, gap.est_b, gap.true_gap, gap.est_gap)
-    lines = ["step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap"]
-    lines += [f"{t},{a:.6g},{b:.6g},{c:.6g},{d:.6g},{tg:.6g},{eg:.6g}"
-              for t, a, b, c, d, tg, eg in zip(gap.steps.tolist(),
-                                               *(col[gap.steps].tolist() for col in cols))]
-    return "\n".join(lines) + "\n"
+    cells = [None] * (7 * gap.steps.size)
+    for j, col in enumerate((gap.steps, *(c[gap.steps] for c in cols))):
+        cells[j::7] = col.tolist()
+    return ("step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap\n"
+            + ("%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n" * gap.steps.size) % tuple(cells))

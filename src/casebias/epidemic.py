@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +72,8 @@ class SirTrajectory:
     removed: np.ndarray
     new_cases: np.ndarray
     size: float
+    max_drift: float = field(default=math.nan, compare=False)  # max |S+I+R - N| over the grid
+    min_compartment: float = field(default=math.nan, compare=False)  # smallest S, I or R value
 
     def __post_init__(self):
         for name in ("times", "susceptible", "infected", "removed", "new_cases"):
@@ -120,7 +122,8 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
         rows.append((s, i, r))
     path = np.array(rows)
 
-    if not np.isfinite(path).all() or path.min() < 0.0:
+    low = path.min()
+    if not np.isfinite(path).all() or low < 0.0:
         warnings.warn(
             "negative or nonfinite compartment encountered; decrease dt",
             RuntimeWarning,
@@ -141,6 +144,8 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
         removed=path[:, 2],
         new_cases=susceptible[:-1] - susceptible[1:],
         size=params.size,
+        max_drift=float(drift),
+        min_compartment=float(low),
     )
 
 
@@ -202,7 +207,7 @@ def trajectory_csv(traj: SirTrajectory) -> str:
     n = traj.new_cases.size
     cols = (traj.times, traj.susceptible, traj.infected, traj.removed, traj.new_cases,
             traj.prevalence)
-    lines = ["time,S,I,R,K,prevalence"]
-    lines += [f"{t:.6g},{s:.6g},{i:.6g},{r:.6g},{k:.6g},{p:.6g}"
-              for t, s, i, r, k, p in zip(*(c[:n].tolist() for c in cols))]
-    return "\n".join(lines) + "\n"
+    cells = [None] * (6 * n)
+    for j, col in enumerate(cols):
+        cells[j::6] = col[:n].tolist()
+    return "time,S,I,R,K,prevalence\n" + ("%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n" * n) % tuple(cells)

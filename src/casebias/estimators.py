@@ -234,12 +234,13 @@ def bias_curves(
 
 def bias_curves_csv(curves: BiasCurves) -> str:
     """CSV rows step,M,ratio_bias,rt_bias (NaN cells rendered as nan)."""
-    lines = ["step,M,ratio_bias,rt_bias"]
     steps = curves.steps.tolist()
-    for m, ratio, rt in zip(curves.rel_rates, curves.ratio_bias[:, curves.steps].tolist(),
-                            curves.rt_bias[:, curves.steps].tolist()):
-        lines += [f"{t},{m:g},{a:.6g},{b:.6g}" for t, a, b in zip(steps, ratio, rt)]
-    return "\n".join(lines) + "\n"
+    cells = [None] * (3 * len(steps) * len(curves.rel_rates))
+    cells[0::3] = steps * len(curves.rel_rates)
+    cells[1::3] = curves.ratio_bias[:, curves.steps].ravel().tolist()
+    cells[2::3] = curves.rt_bias[:, curves.steps].ravel().tolist()
+    template = "".join(f"%s,{m:g},%.6g,%.6g\n" * len(steps) for m in curves.rel_rates)
+    return "step,M,ratio_bias,rt_bias\n" + template % tuple(cells)
 
 
 def exp_smooth(series: Sequence[float], alpha: float) -> np.ndarray:

@@ -532,6 +532,30 @@ def test_sensitivity_corner_that_empties_the_survey_is_infeasible(tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "fp_range, fn_range", [("0.001,0.01", "0.1,0.995"), ("0.01,0.001", "0.995,0.1")],
+    ids=["lo-hi", "hi-lo"],
+)
+def test_sensitivity_corner_outside_the_joint_domain_names_the_flags(
+    tmp_path, capsys, fp_range, fn_range
+):
+    # Every end is a valid rate, but fp = 0.01 with fn = 0.995 breaks fp + fn < 1.
+    argv = ["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172", "--survey-prev",
+            "0.4", "--observed-prev", "0.6", "--fp-range", fp_range, "--fn-range", fn_range]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "sensitivity.json").exists()
+    assert capsys.readouterr().err == "error: --fp-range/--fn-range: fp + fn must be < 1\n"
+
+
+def test_neff_derived_rate_outside_unit_interval_names_the_flags(tmp_path, capsys):
+    # f = 0.5 with M = 10 at ybar = 0.016 puts f1 = M * f0 above 1.
+    assert run(tmp_path, "neff", "--f", "0.5", "--m-grid", "10") == 1
+    assert not (tmp_path / "neff_table.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --f/--m-grid/--ybar-grid: f1 must lie in [0, 1], got 4.37")
+    assert "Traceback" not in err
+
+
 def test_config_file_and_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("# scenario\nf = 0.026\nybar-grid = 0.016,0.096\n")

@@ -30,7 +30,7 @@ from casebias import (
     true_rt,
     z_eff,
 )
-from test_epidemic import synthetic_traj
+from test_epidemic import SPECIAL_CELLS, SPECIAL_TEXT, csv_columns, synthetic_traj
 
 
 def summary(size=1e6, f=0.02, ybar=0.1, rho=0.01, d=1.0):
@@ -402,3 +402,32 @@ def test_rt_gap_csv_renders_special_cells_like_reference():
         text = rt_gap_csv(gap)
     assert text == expected
     assert "nan" in text and "-inf" in text and ",-0," in text
+
+
+def test_rt_gap_csv_zero_rows_is_the_header():
+    empty = np.empty(0)
+    gap = RtGap(steps=np.arange(0), true_a=empty, true_b=empty, est_a=empty, est_b=empty,
+                flagged=())
+    text = rt_gap_csv(gap)
+    assert text == reference_rt_gap_csv(gap)
+    assert text == "step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap\n"
+
+
+def test_rt_gap_csv_renders_special_values_in_every_column():
+    # First half: A holds the specials against B = 0, so the gaps hold them as well
+    # (-0.0 - 0.0 is -0.0); second half: B holds them.
+    zeros = np.zeros(SPECIAL_CELLS.size)
+    gap = RtGap(
+        steps=np.arange(2 * SPECIAL_CELLS.size),
+        true_a=np.concatenate([SPECIAL_CELLS, zeros]),
+        true_b=np.concatenate([zeros, SPECIAL_CELLS]),
+        est_a=np.concatenate([np.roll(SPECIAL_CELLS, 2), zeros]),
+        est_b=np.concatenate([zeros, np.roll(SPECIAL_CELLS, 2)]),
+        flagged=(),
+    )
+    with np.errstate(invalid="ignore"):
+        expected = reference_rt_gap_csv(gap)
+        text = rt_gap_csv(gap)
+    assert text == expected
+    for col in csv_columns(text)[1:]:
+        assert SPECIAL_TEXT <= set(col)

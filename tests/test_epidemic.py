@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,3 +303,67 @@ def test_trajectory_csv_renders_special_cells_like_reference():
     text = trajectory_csv(traj)
     assert text == reference_trajectory_csv(traj)
     assert "nan" in text and "-inf" in text and "-0" in text
+
+
+# Each special value in every float column: the template must render them as format() does.
+SPECIAL_CELLS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+SPECIAL_TEXT = {"nan", "inf", "-inf", "-0", "4.94066e-324"}
+
+
+def csv_columns(text):
+    """Rendered cells of a CSV table, column by column, header dropped."""
+    return list(zip(*(line.split(",") for line in text.splitlines()[1:])))
+
+
+def test_trajectory_csv_renders_special_values_in_every_column():
+    n = SPECIAL_CELLS.size
+    states = [np.append(np.roll(SPECIAL_CELLS, j), 1.0) for j in range(4)]
+    traj = SirTrajectory(
+        times=states[0],
+        susceptible=states[1],
+        infected=states[2],
+        removed=states[3],
+        new_cases=np.roll(SPECIAL_CELLS, 4),
+        size=1.0,  # prevalence = I / 1 keeps the infected column's cells exactly
+    )
+    text = trajectory_csv(traj)
+    assert text == reference_trajectory_csv(traj)
+    columns = csv_columns(text)
+    assert len(columns) == 6 and all(len(col) == n for col in columns)
+    for col in columns:
+        assert set(col) == SPECIAL_TEXT
+
+
+def test_trajectory_csv_one_row():
+    traj = sir_simulate(fig_params(horizon=1))
+    text = trajectory_csv(traj)
+    assert text == reference_trajectory_csv(traj)
+    assert text.count("\n") == 2 and text.endswith("\n")
+
+
+def test_sir_simulate_records_drift_and_smallest_compartment():
+    rng = np.random.default_rng(13)
+    params = [_random_params(rng) for _ in range(30)] + [
+        fig_params(),
+        SirParams(beta=1.4, gamma_rec=3.0, size=1e6, s0=1e6 - 100, i0=100, dt=9.0, horizon=10),
+    ]
+    for p in params:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            traj = sir_simulate(p)
+        path = np.column_stack([traj.susceptible, traj.infected, traj.removed])
+        drift = np.abs(path.sum(axis=1) - traj.size).max()
+        assert np.array_equal(traj.max_drift, drift, equal_nan=True)
+        assert np.array_equal(traj.min_compartment, path.min(), equal_nan=True)
+        assert type(traj.max_drift) is float and type(traj.min_compartment) is float
+    # The last run is the too-large step that sir_simulate warns about.
+    assert not traj.min_compartment >= 0.0
+
+
+def test_sir_diagnostics_default_for_hand_built_trajectories_and_skip_equality():
+    traj = synthetic_traj([1.0, 2.0, 3.0])
+    assert math.isnan(traj.max_drift) and math.isnan(traj.min_compartment)
+    simulated = sir_simulate(fig_params(horizon=20))
+    assert simulated.max_drift <= 1e-9 * simulated.size
+    assert simulated.min_compartment == simulated.removed.min() == 0.0
+    assert replace(simulated, max_drift=1.0, min_compartment=-1.0) == simulated

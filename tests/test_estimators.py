@@ -34,7 +34,7 @@ from casebias import (
     survey_interval,
     true_rt,
 )
-from test_epidemic import synthetic_traj
+from test_epidemic import SPECIAL_CELLS, SPECIAL_TEXT, csv_columns, synthetic_traj
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
 
@@ -549,3 +549,41 @@ def test_bias_curves_csv_renders_special_cells_like_reference():
     text = bias_curves_csv(curves)
     assert text == reference_bias_curves_csv(curves)
     assert "nan" in text and "-inf" in text and ",-0," in text
+
+
+@pytest.mark.parametrize(
+    "n_steps, rel_rates", [(0, (2.0, 4.0)), (5, ())], ids=["no-steps", "no-rates"]
+)
+def test_bias_curves_csv_zero_rows_is_the_header(n_steps, rel_rates):
+    empty = np.empty((len(rel_rates), n_steps))
+    curves = BiasCurves(
+        steps=np.arange(n_steps), rel_rates=rel_rates, ratio_bias=empty, rt_bias=empty,
+        flagged=(),
+    )
+    text = bias_curves_csv(curves)
+    assert text == reference_bias_curves_csv(curves) == "step,M,ratio_bias,rt_bias\n"
+
+
+def test_bias_curves_csv_mixed_rate_types_equal_reference():
+    traj = sir_simulate(SirParams(
+        beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, horizon=80
+    ))
+    rel_rates = (3, np.float64(0.125), 1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        curves = bias_curves(traj, 0.02, MEAS_REF, rel_rates, 7.0)
+    text = bias_curves_csv(curves)
+    assert text == reference_bias_curves_csv(curves)
+    assert set(csv_columns(text)[1]) == {"3", "0.125", "1e-07"}
+
+
+def test_bias_curves_csv_renders_special_values_in_every_column():
+    rows = np.stack([np.roll(SPECIAL_CELLS, j) for j in range(3)])
+    curves = BiasCurves(
+        steps=np.arange(SPECIAL_CELLS.size), rel_rates=(2.0, 0.5, 7), ratio_bias=rows,
+        rt_bias=rows[::-1], flagged=(),
+    )
+    text = bias_curves_csv(curves)
+    assert text == reference_bias_curves_csv(curves)
+    _, _, ratio, rt = csv_columns(text)
+    assert set(ratio) == set(rt) == SPECIAL_TEXT
