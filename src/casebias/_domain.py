@@ -3,7 +3,8 @@
 A domain is a ``(wording, test)`` pair.  Each test is written with ``&`` on
 comparisons, so NaN fails it and it works element-wise on arrays.  ``check``
 is the one place that applies a domain and words its failure:
-``<name> must <wording>, got <value>``.
+``<name> must <wording>, got <value>``, where an array's value is its first
+element outside the domain.
 """
 from __future__ import annotations
 
@@ -22,6 +23,12 @@ class Domain(NamedTuple):
 UNIT = Domain("lie in [0, 1]", lambda x: (0.0 <= x) & (x <= 1.0))
 FRACTION = Domain("lie in (0, 1]", lambda x: (0.0 < x) & (x <= 1.0))
 OPEN_UNIT = Domain("lie strictly in (0, 1)", lambda x: (0.0 < x) & (x < 1.0))
+# A tested fraction of at least the smallest normal double keeps Ybar(1-Ybar)/(f(1-f))
+# and (1-f)/f at most 1/TINY; a subnormal f overflows them to inf.
+TINY = float(np.finfo(float).tiny)
+TESTED_FRACTION = Domain(
+    f"lie strictly in (0, 1) and be >= {TINY!r}", lambda x: (TINY <= x) & (x < 1.0)
+)
 ERROR_RATE = Domain("lie in [0, 1)", lambda x: (0.0 <= x) & (x < 1.0))
 CORRELATION = Domain("lie in [-1, 1]", lambda x: (-1.0 <= x) & (x <= 1.0))
 FINITE = Domain("be finite", lambda x: (-np.inf < x) & (x < np.inf))
@@ -45,5 +52,6 @@ def check(name: str, value, domain: Domain):
     """``value`` if it lies in ``domain``, element-wise for arrays and lists."""
     ok = all(map(domain.test, value)) if type(value) is list else domain.test(value)
     if ok is not True and not _all(ok):  # True from a scalar test needs no _all
-        raise ValueError(f"{name} must {domain.wording}, got {value}")
+        got = value[~ok][0] if isinstance(ok, np.ndarray) else value
+        raise ValueError(f"{name} must {domain.wording}, got {got}")
     return value

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from ._domain import (
     AT_LEAST_1, AT_LEAST_2, CORRELATION, DRIVER, ERROR_RATE, FINITE, FRACTION, NEFF,
-    NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE, SEED, UNIT, Domain, check,
+    NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE, SEED, TESTED_FRACTION, UNIT, Domain, check,
 )
 from .population import (
     DegenerateSampleError,
@@ -131,7 +131,7 @@ _OPTION_TABLES = {
         Opt("seed", int, None, help="required with --empirical", domain=SEED),
     ],
     "neff": [
-        Opt("f", float, required=True, domain=OPEN_UNIT),
+        Opt("f", float, required=True, domain=TESTED_FRACTION),
         Opt("ybar-grid", _parse_floats, [0.016, 0.036, 0.056, 0.076, 0.096], domain=OPEN_UNIT),
         Opt("m-grid", _parse_floats, [1.2, 1.4, 1.6, 1.8, 2.0], domain=POSITIVE),
         Opt("fp", float, None, domain=ERROR_RATE), Opt("fn", float, None, domain=ERROR_RATE),
@@ -147,7 +147,7 @@ _OPTION_TABLES = {
         Opt("beta", float, 1.4, domain=POSITIVE), Opt("gamma-rec", float, 0.2, domain=POSITIVE),
         Opt("size", float, 1e6, domain=POSITIVE), Opt("i0", float, 100.0, domain=NON_NEGATIVE),
         Opt("dt", float, 0.1, domain=POSITIVE), Opt("horizon", int, 400, domain=AT_LEAST_1),
-        Opt("f", float, 0.02, domain=OPEN_UNIT),
+        Opt("f", float, 0.02, domain=TESTED_FRACTION),
         Opt("fp", float, 0.01, domain=ERROR_RATE), Opt("fn", float, 0.15, domain=ERROR_RATE),
         Opt("m-grid", _parse_floats, [2.0, 4.0], domain=POSITIVE),
         Opt("serial-interval", float, 7.0, domain=POSITIVE),
@@ -159,14 +159,14 @@ _OPTION_TABLES = {
         Opt("gamma-rec", float, 0.2, domain=POSITIVE), Opt("size", float, 1e6, domain=POSITIVE),
         Opt("i0", float, 100.0, domain=NON_NEGATIVE),
         Opt("dt", float, 0.1, domain=POSITIVE), Opt("horizon", int, 400, domain=AT_LEAST_1),
-        Opt("f", float, 0.02, domain=OPEN_UNIT),
+        Opt("f", float, 0.02, domain=TESTED_FRACTION),
         Opt("fp", float, 0.01, domain=ERROR_RATE), Opt("fn", float, 0.2, domain=ERROR_RATE),
         Opt("m", float, 4.0, domain=POSITIVE),
         Opt("serial-interval", float, 7.0, domain=POSITIVE),
     ],
     "sensitivity": [
         Opt("f", float, required=True, help="tested fraction on the anchor day",
-            domain=OPEN_UNIT),
+            domain=TESTED_FRACTION),
         Opt("fp", float, required=True, domain=ERROR_RATE),
         Opt("fn", float, required=True, domain=ERROR_RATE),
         Opt("survey-prev", float, None, help="adjusted survey prevalence", domain=OPEN_UNIT),
@@ -188,8 +188,8 @@ _OPTION_TABLES = {
     "compare": [
         Opt("n1", float, required=True, domain=POPULATION),
         Opt("n2", float, required=True, domain=POPULATION),
-        Opt("f1", float, required=True, domain=OPEN_UNIT),
-        Opt("f2", float, required=True, domain=OPEN_UNIT),
+        Opt("f1", float, required=True, domain=TESTED_FRACTION),
+        Opt("f2", float, required=True, domain=TESTED_FRACTION),
         Opt("ybar1", float, required=True, domain=UNIT),
         Opt("ybar2", float, required=True, domain=UNIT),
         Opt("rho1", float, 0.0, domain=CORRELATION), Opt("rho2", float, 0.0, domain=CORRELATION),
@@ -306,18 +306,21 @@ def _write_json(path: Path, inputs: dict, outputs: dict, flags: list) -> None:
     _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _meas(opts: dict, fp_key: str = "fp", fn_key: str = "fn") -> MeasurementModel:
+def _named(flags: str, call: Callable, *args, **kwargs):
+    """``call(*args, **kwargs)``; a ``ValueError`` it raises is an error naming ``flags``."""
     try:
-        return MeasurementModel(fp=opts[fp_key], fn=opts[fn_key])
+        return call(*args, **kwargs)
     except ValueError as exc:
-        raise _CliError(f"--{fp_key}/--{fn_key}: {exc}") from None
+        raise _CliError(f"{flags}: {exc}") from None
+
+
+def _meas(opts: dict, fp_key: str = "fp", fn_key: str = "fn") -> MeasurementModel:
+    return _named(f"--{fp_key}/--{fn_key}", MeasurementModel, fp=opts[fp_key], fn=opts[fn_key])
 
 
 def _selection(opts: dict, prevalence: float) -> SelectionModel:
-    try:
-        return SelectionModel.from_relative_rate(opts["f"], opts["m"], prevalence)
-    except ValueError as exc:
-        raise _CliError(f"--f/--m/--ybar: {exc}") from None
+    return _named("--f/--m/--ybar", SelectionModel.from_relative_rate,
+                  opts["f"], opts["m"], prevalence)
 
 
 def _cmd_decompose(opts: dict, caught: list) -> int:
@@ -343,7 +346,7 @@ def _cmd_decompose(opts: dict, caught: list) -> int:
     else:
         # The analytic formulas need 0 < ybar < 1 and f < 1; a realization allows the ends.
         check("--ybar", opts["ybar"], OPEN_UNIT)
-        check("--f", opts["f"], OPEN_UNIT)
+        check("--f", opts["f"], TESTED_FRACTION)
         sel = _selection(opts, opts["ybar"])
         rho = binary_rho(sel.delta, opts["ybar"], opts["f"])
         rho_ipz = rho_ipz_from_rho_iy(rho, sel, meas, opts["ybar"])
@@ -375,10 +378,8 @@ def _cmd_neff(opts: dict, caught: list) -> int:
         raise _CliError("--fp and --fn must be given together")
     if opts["fp"] is not None:
         meas = _meas(opts)
-    try:
-        table = neff_table(opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
-    except ValueError as exc:
-        raise _CliError(f"--f/--m-grid/--ybar-grid: {exc}") from None
+    table = _named("--f/--m-grid/--ybar-grid", neff_table,
+                   opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
     _write(
         Path(opts["out"]) / "neff_table.csv",
         format_neff_table(table, opts["ybar_grid"], opts["m_grid"]),
@@ -389,20 +390,18 @@ def _cmd_neff(opts: dict, caught: list) -> int:
 
 
 def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
-    try:
-        return SirParams(
-            beta=opts[beta_key],
-            gamma_rec=opts["gamma_rec"],
-            size=opts["size"],
-            s0=opts["size"] - opts["i0"] - opts.get("r0", 0.0),
-            i0=opts["i0"],
-            r0=opts.get("r0", 0.0),
-            dt=opts["dt"],
-            horizon=opts["horizon"],
-        )
-    except ValueError as exc:
-        flags = "--size/--i0/--r0" if "r0" in opts else "--size/--i0"
-        raise _CliError(f"{flags}: {exc}") from None
+    return _named(
+        "--size/--i0/--r0" if "r0" in opts else "--size/--i0",
+        SirParams,
+        beta=opts[beta_key],
+        gamma_rec=opts["gamma_rec"],
+        size=opts["size"],
+        s0=opts["size"] - opts["i0"] - opts.get("r0", 0.0),
+        i0=opts["i0"],
+        r0=opts.get("r0", 0.0),
+        dt=opts["dt"],
+        horizon=opts["horizon"],
+    )
 
 
 def _cmd_sir(opts: dict, caught: list) -> int:
@@ -413,7 +412,9 @@ def _cmd_sir(opts: dict, caught: list) -> int:
 
 def _cmd_bias_curves(opts: dict, caught: list) -> int:
     traj = sir_simulate(_sir_params(opts))
-    curves = bias_curves(
+    curves = _named(
+        "--f/--m-grid",
+        bias_curves,
         traj,
         f=opts["f"],
         meas=_meas(opts),
@@ -431,7 +432,9 @@ def _cmd_bias_curves(opts: dict, caught: list) -> int:
 def _cmd_rt_gap(opts: dict, caught: list) -> int:
     traj_a = sir_simulate(_sir_params(opts, "beta_a"))
     traj_b = sir_simulate(_sir_params(opts, "beta_b"))
-    gap = rt_gap(
+    gap = _named(
+        "--f/--m",
+        rt_gap,
         traj_a,
         traj_b,
         f=opts["f"],
@@ -561,10 +564,8 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
         "pooled_prevalence": pooled,
     }
     if opts["population"] is not None:
-        try:
-            outputs["srs_variance"] = srs_variance(pooled, opts["n"], opts["population"])
-        except ValueError as exc:
-            raise _CliError(f"--n/--population: {exc}") from None
+        outputs["srs_variance"] = _named(
+            "--n/--population", srs_variance, pooled, opts["n"], opts["population"])
     outputs["srs_variance_wr"] = srs_variance(pooled, opts["n"], 0, fpc=False)
     out = Path(opts["out"])
     _write(out / "allocation.csv", "\n".join(lines) + "\n")

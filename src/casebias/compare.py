@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, UNIT, check
+from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, TESTED_FRACTION, UNIT, check
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
 from .estimators import InfeasibleScenarioError, _rt_error_series, _step_context, _warn_flagged
@@ -50,7 +50,7 @@ class PopulationSummary:
         for name in ("size", "f", "ybar_hat", "rho", "d_m", "sigma_y"):
             check(name, getattr(self, name), FINITE)
         check("size", self.size, POPULATION)
-        check("f", self.f, OPEN_UNIT)
+        check("f", self.f, TESTED_FRACTION)
         check("ybar_hat", self.ybar_hat, UNIT)
 
     @property
@@ -127,7 +127,7 @@ def delta_diff_threshold(n1: float, n2: float, f: float, ybar: float) -> float:
     """
     check("n1", n1, POPULATION)
     check("n2", n2, POPULATION)
-    check("f", f, OPEN_UNIT)
+    check("f", f, TESTED_FRACTION)
     check("ybar", ybar, OPEN_UNIT)
     rho_factor = math.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
     adj_exact = math.sqrt((n1 - 1.0) * (n2 - 1.0) / (n1 + n2 - 2.0))
@@ -148,7 +148,7 @@ def z_eff(
     """
     check("neff1", neff1, NEFF)
     check("neff2", neff2, NEFF)
-    check("f", f, OPEN_UNIT)
+    check("f", f, TESTED_FRACTION)
     denom = (1.0 - f) / f * sigma_y * math.sqrt(
         1.0 / (neff1 - 1.0) + 1.0 / (neff2 - 1.0)
     )
@@ -163,12 +163,7 @@ class DiffError:
     scale_term: float
 
 
-def count_diff_error(
-    a: PopulationSummary,
-    b: PopulationSummary,
-    n1: Optional[float] = None,
-    n2: Optional[float] = None,
-) -> DiffError:
+def count_diff_error(a: PopulationSummary, b: PopulationSummary) -> DiffError:
     """Error decomposition of a raw case-count difference y1 - y2.
 
     selection = n1*sigma1*rho1*sqrt((1-f1)/f1)*D1 - (same for 2);
@@ -176,11 +171,9 @@ def count_diff_error(
     selection term is proportional to n1 - n2, so it scales with the relative
     population sizes.
     """
-    n1 = a.n if n1 is None else n1
-    n2 = b.n if n2 is None else n2
     selection = (
-        n1 * a.sigma_y * a.rho * a.quantity * a.d_m
-        - n2 * b.sigma_y * b.rho * b.quantity * b.d_m
+        a.n * a.sigma_y * a.rho * a.quantity * a.d_m
+        - b.n * b.sigma_y * b.rho * b.quantity * b.d_m
     )
     scale = a.f * (a.ybar_hat * a.size) - b.f * (b.ybar_hat * b.size)
     return DiffError(selection_term=float(selection), scale_term=float(scale))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import AT_LEAST_1, ERROR_RATE, FINITE, OPEN_UNIT, POSITIVE, check
+from ._domain import AT_LEAST_1, ERROR_RATE, FINITE, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check
 from .population import (
     EmpiricalStats,
     FinitePopulation,
@@ -86,7 +86,7 @@ def _float_or_array(value):
 
 def selection_error(rho_iy: float, f: float, sigma_y: float) -> float:
     """Error of the sample mean: data quality x data quantity x difficulty."""
-    check("sampling fraction", f, OPEN_UNIT)
+    check("sampling fraction", f, TESTED_FRACTION)
     return rho_iy * np.sqrt((1.0 - f) / f) * sigma_y
 
 
@@ -112,7 +112,7 @@ def imperfect_error(
     sigma_y : optional override of sqrt(ybar*(1-ybar)); used with empirical
         inputs where the population difficulty is known exactly.
     """
-    check("sampling fraction", f, OPEN_UNIT)
+    check("sampling fraction", f, TESTED_FRACTION)
     if sigma_y is None:
         sigma_y = np.sqrt(ybar * (1.0 - ybar))
     dq = rho_iy * sigma_y

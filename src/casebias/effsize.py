@@ -8,7 +8,10 @@ prevalence pins the whole error budget.  The bound
     n_eff <= f/(1-f) * 1 / (rho * D_M)^2
 
 converts that budget into the size of the equal-probability sample with the
-same mean squared error (D_M = 1 without measurement error).  E[rho^2] is
+same mean squared error (D_M = 1 without measurement error).  ``neff_bound``
+is the one kernel: a scenario may hold arrays that broadcast together, and
+``neff_table`` is a single evaluation over a (prevalence x M) grid, with one
+warning for all its infinite (equal-probability) cells.  E[rho^2] is
 approximated by rho^2 throughout; Monte Carlo counterparts live in
 ``population.mc_expectation``.
 """
@@ -16,14 +19,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, OPEN_UNIT, check
+from ._domain import AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
-from .decomposition import d_m, meas_adjustment
+from .population import make_population, mc_expectation
+from .decomposition import corrected_prevalence, d_m, meas_adjustment
 
 __all__ = [
     "EffSizeScenario",
@@ -41,23 +45,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffSizeScenario:
-    """Testing scenario: prevalence, relative rate M = f1/f0, overall fraction f."""
+    """Testing scenario: prevalence, relative rate M = f1/f0, overall fraction f.
+
+    The three may be arrays that broadcast together; ``selection`` holds the
+    testing rates they imply.
+    """
 
     ybar: float
     rel_rate: float
     f: float
     meas: Optional[MeasurementModel] = None
+    selection: SelectionModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check("ybar", self.ybar, OPEN_UNIT)
-        check("f", self.f, OPEN_UNIT)
-        sel = self.selection  # checks rel_rate
-        if not 0.0 < sel.f0 <= 1.0 or sel.f1 > 1.0:
-            raise ValueError("derived testing rates leave [0, 1]")
-
-    @property
-    def selection(self) -> SelectionModel:
-        return SelectionModel.from_relative_rate(self.f, self.rel_rate, self.ybar)
+        check("f", self.f, TESTED_FRACTION)
+        sel = SelectionModel.from_relative_rate(self.f, self.rel_rate, self.ybar)
+        # A tiny f with a huge M underflows f0 to 0, which would read as equal-probability.
+        check("f0", sel.f0, POSITIVE)
+        object.__setattr__(self, "selection", sel)
 
     @property
     def delta(self) -> float:
@@ -71,30 +77,27 @@ class EffSizeScenario:
 def binary_rho(delta: float, ybar: float, f: float) -> float:
     """Binary-outcome data quality Delta * sqrt(Ybar(1-Ybar)/(f(1-f))), elementwise."""
     check("ybar", ybar, OPEN_UNIT)
-    check("f", f, OPEN_UNIT)
+    check("f", f, TESTED_FRACTION)
     rho = delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
     return rho if isinstance(rho, np.ndarray) else float(rho)
 
 
 def neff_bound(scenario: EffSizeScenario) -> float:
-    """Equivalent equal-probability sample size for a testing scenario.
+    """Equivalent equal-probability sample size f/(1-f) / (rho * D_M)^2, elementwise.
 
-    Infinite (with a warning) when the scenario is equal-probability sampling,
-    where the analytic rho vanishes.
+    Infinite where the scenario is equal-probability sampling and the analytic
+    rho vanishes, with one warning per call.  A scalar scenario gives a float.
     """
-    rho = binary_rho(scenario.delta, scenario.ybar, scenario.f)
-    if rho == 0.0:
-        warnings.warn(
-            "equal-probability scenario: analytic rho is 0, bound is infinite",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return math.inf
-    adj = 1.0
-    if scenario.meas is not None and not scenario.meas.is_perfect:
-        adj = d_m(scenario.selection, scenario.meas, scenario.ybar)
-    f = scenario.f
-    return float(f / (1.0 - f) / (rho * adj) ** 2)
+    sel, ybar, f = scenario.selection, scenario.ybar, scenario.f
+    rho = binary_rho(sel.delta, ybar, f)
+    adj = d_m(sel, scenario.meas or PERFECT_TEST, ybar)  # exactly 1.0 for a perfect test
+    if np.any(rho == 0.0):
+        warnings.warn("equal-probability scenario: analytic rho is 0, bound is infinite",
+                      RuntimeWarning, stacklevel=2)
+    # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
+    with np.errstate(divide="ignore"):
+        bound = f / (1.0 - f) / np.float_power(rho * adj, 2)
+    return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
 def neff_table(
@@ -104,16 +107,11 @@ def neff_table(
     meas: Optional[MeasurementModel] = None,
 ) -> np.ndarray:
     """Floored effective-sample-size bounds, rows by prevalence, columns by M."""
-    ybar_grid = list(ybar_grid)
-    rel_rate_grid = list(rel_rate_grid)
-    if not ybar_grid or not rel_rate_grid:
+    ybar = np.asarray(ybar_grid, dtype=float)
+    rel_rate = np.asarray(rel_rate_grid, dtype=float)
+    if not ybar.size or not rel_rate.size:
         raise ValueError("grids must be nonempty")
-    out = np.empty((len(ybar_grid), len(rel_rate_grid)))
-    for i, ybar in enumerate(ybar_grid):
-        for j, m in enumerate(rel_rate_grid):
-            bound = neff_bound(EffSizeScenario(ybar=ybar, rel_rate=m, f=f, meas=meas))
-            out[i, j] = math.floor(bound) if math.isfinite(bound) else math.inf
-    return out
+    return np.floor(neff_bound(EffSizeScenario(ybar[:, None], rel_rate, f, meas)))
 
 
 def format_neff_table(
@@ -178,6 +176,11 @@ def _scenario_error(
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
+def _check_shared(a: EffSizeScenario, b: EffSizeScenario) -> None:
+    if (a.ybar, a.rel_rate, a.f) != (b.ybar, b.rel_rate, b.f):
+        raise ValueError("scenarios must share (ybar, rel_rate, f)")
+
+
 def relative_mse(
     with_meas: EffSizeScenario,
     without: EffSizeScenario,
@@ -194,12 +197,7 @@ def relative_mse(
     and ``adjustment="expectation"`` to the exact-expectation convention that
     ``relative_mse_mc`` reproduces.
     """
-    if (with_meas.ybar, with_meas.rel_rate, with_meas.f) != (
-        without.ybar,
-        without.rel_rate,
-        without.f,
-    ):
-        raise ValueError("scenarios must share (ybar, rel_rate, f)")
+    _check_shared(with_meas, without)
     if without.meas is not None and not without.meas.is_perfect:
         raise ValueError("reference scenario must have a perfect test")
     err = _scenario_error(with_meas, estimator, include_bias, adjustment)
@@ -223,15 +221,7 @@ def relative_mse_mc(
     ``relative_mse(..., adjustment="expectation")`` within Monte Carlo noise.
     ``seed`` may be an int, a SeedSequence or a Generator.
     """
-    from .population import make_population, mc_expectation
-    from .decomposition import corrected_prevalence
-
-    if (with_meas.ybar, with_meas.rel_rate, with_meas.f) != (
-        without.ybar,
-        without.rel_rate,
-        without.f,
-    ):
-        raise ValueError("scenarios must share (ybar, rel_rate, f)")
+    _check_shared(with_meas, without)
     meas = with_meas.meas or PERFECT_TEST
     pop = make_population(size, with_meas.ybar, seed=0)
     sel = with_meas.selection

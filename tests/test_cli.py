@@ -556,6 +556,60 @@ def test_neff_derived_rate_outside_unit_interval_names_the_flags(tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, filename, prefix",
+    [
+        (["bias-curves", "--f", "0.9"], "bias_curves.csv", "--f/--m-grid"),
+        (["rt-gap", "--f", "0.5", "--m", "100"], "rt_gap.csv", "--f/--m"),
+    ],
+    ids=["bias-curves", "rt-gap"],
+)
+def test_per_step_derived_rate_error_is_one_short_line_naming_the_flags(
+    tmp_path, capsys, argv, filename, prefix
+):
+    # f1 = M f / (ybar (M - 1) + 1) leaves [0, 1] at hundreds of steps; the message names one.
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / filename).exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}: f1 must lie in [0, 1], got ")
+    assert len(err) < 200 and err.count("\n") == 1
+
+
+SUBNORMAL_F = [
+    (["neff", "--f", "5e-324", "--m-grid", "2"], "neff_table.csv", "--f"),
+    (["decompose", "--ybar", "0.1", "--f", "5e-324", "--m", "2"], "decomposition.json", "--f"),
+    (["compare", "--n1", "1e6", "--n2", "1e6", "--f1", "5e-324", "--f2", "0.02", "--ybar1",
+      "0.1", "--ybar2", "0.1"], "compare.json", "--f1"),
+    (["compare", "--n1", "1e6", "--n2", "1e6", "--f1", "0.02", "--f2", "5e-324", "--ybar1",
+      "0.1", "--ybar2", "0.1"], "compare.json", "--f2"),
+    (["sensitivity", "--f", "5e-324", "--fp", "0.005", "--fn", "0.172", "--survey-prev",
+      "0.159", "--observed-prev", "0.325"], "sensitivity.json", "--f"),
+    (["bias-curves", "--f", "5e-324", "--horizon", "5"], "bias_curves.csv", "--f"),
+    (["rt-gap", "--f", "5e-324", "--horizon", "5"], "rt_gap.csv", "--f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, filename, flag", SUBNORMAL_F, ids=[f"{c[0][0]}{c[2]}" for c in SUBNORMAL_F]
+)
+def test_subnormal_tested_fraction_names_the_flag(tmp_path, capsys, argv, filename, flag):
+    # A subnormal f overflows Ybar(1-Ybar)/(f(1-f)) and (1-f)/f to inf.
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / filename).exists()
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {flag} must lie strictly in (0, 1) and be >= 2.2250738585072014e-308, "
+        "got 5e-324\n"
+    )
+    assert len(err) < 200
+
+
+def test_neff_accepts_the_smallest_normal_tested_fractions(tmp_path):
+    assert run(tmp_path, "neff", "--f", "1e-300", "--m-grid", "2") == 0
+    assert (tmp_path / "neff_table.csv").read_text().split("\n")[1] == "0.016,65.00"
+    assert run(tmp_path, "neff", "--f", "2.2250738585072014e-308", "--m-grid", "2") == 0
+
+
 def test_config_file_and_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("# scenario\nf = 0.026\nybar-grid = 0.016,0.096\n")

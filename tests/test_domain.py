@@ -6,14 +6,21 @@ import pytest
 
 from casebias import (
     PERFECT_TEST,
+    EffSizeScenario,
+    PopulationSummary,
     _domain,
+    binary_rho,
     delta_diff_threshold,
+    imperfect_error,
     meas_adjustment_rel,
     mse_vs_srs,
+    neff_bound,
     population_adjustment,
     rt_estimate,
+    selection_error,
     srs_variance,
     survey_interval,
+    z_eff,
 )
 
 NAN = math.nan
@@ -47,9 +54,10 @@ def test_every_domain_rejects_nan_as_scalar_and_in_arrays(domain):
     inside = next(value for value in (0.5, 2.0) if domain.test(value))
     with pytest.raises(ValueError, match=rf"^x must {re.escape(domain.wording)}, got nan$"):
         _domain.check("x", NAN, domain)
-    for values in (np.array([inside, NAN]), [inside, NAN]):
-        with pytest.raises(ValueError, match=r", got \[.* nan\]$"):
-            _domain.check("x", values, domain)
+    with pytest.raises(ValueError, match=r", got nan$"):
+        _domain.check("x", np.array([inside, NAN]), domain)
+    with pytest.raises(ValueError, match=r", got \[.* nan\]$"):
+        _domain.check("x", [inside, NAN], domain)
 
 
 def test_check_returns_the_value_it_was_given():
@@ -58,3 +66,34 @@ def test_check_returns_the_value_it_was_given():
     array = np.array(values)
     assert _domain.check("x", array, _domain.OPEN_UNIT) is array
     assert _domain.check("x", 0.5, _domain.OPEN_UNIT) == 0.5
+
+
+def test_array_failure_names_its_first_value_outside_the_domain():
+    values = np.full((400, 5), 0.5)
+    values[123, 2], values[300, 0] = 1.75, -2.0
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got 1\.75$"):
+        _domain.check("x", values, _domain.UNIT)
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got -2\.0$"):
+        _domain.check("x", values[200:], _domain.UNIT)
+
+
+TINY = _domain.TINY
+# Each builds Ybar(1-Ybar)/(f(1-f)) or (1-f)/f from a tested fraction f.
+TESTED_FRACTION_USERS = {
+    "binary_rho": lambda f: binary_rho(0.01, 0.1, f),
+    "EffSizeScenario": lambda f: neff_bound(EffSizeScenario(0.016, 2.0, f)),
+    "PopulationSummary": lambda f: PopulationSummary(1e6, f, 0.1, 0.01, 1.0, 0.3).quantity,
+    "delta_diff_threshold": lambda f: delta_diff_threshold(1e6, 1e6, f, 0.1),
+    "z_eff": lambda f: z_eff(0.1, 0.12, 100.0, 100.0, f, 0.3),
+    "selection_error": lambda f: selection_error(0.01, f, 0.3),
+    "imperfect_error": lambda f: imperfect_error(0.1, f, 0.01, 0.0, 0.1, 0.0, 0.0).total_error,
+}
+
+
+@pytest.mark.parametrize("use", TESTED_FRACTION_USERS.values(), ids=TESTED_FRACTION_USERS.keys())
+def test_tested_fraction_rejects_subnormals_and_keeps_the_smallest_normal_finite(use):
+    for f in (5e-324, TINY / 2, 0.0, 1.0):
+        with pytest.raises(ValueError, match=r" must lie strictly in \(0, 1\) and be >= "):
+            use(f)
+    assert math.isfinite(use(TINY))
+    assert _domain.TESTED_FRACTION.test(TINY) and not _domain.TESTED_FRACTION.test(TINY / 2)

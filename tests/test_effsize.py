@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from casebias import (
     SelectionModel,
     binary_rho,
     capacity_tradeoff,
+    d_m,
     format_neff_table,
     make_population,
     mc_expectation,
@@ -19,6 +21,7 @@ from casebias import (
     relative_mse,
     relative_mse_mc,
 )
+from casebias._domain import TINY
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
 
@@ -195,3 +198,121 @@ def test_relative_mse_mc_seed_forms():
     assert run(np.random.SeedSequence(23)) == by_int
     assert run(np.random.default_rng(23)) == by_int
     assert all(math.isfinite(v) for v in by_int)
+
+
+def reference_neff_bound(ybar, m, f, meas=None):
+    """One cell as the per-cell loop computed it, on Python floats."""
+    sel = SelectionModel.from_relative_rate(f, m, ybar)
+    rho = binary_rho(sel.delta, ybar, f)
+    if rho == 0.0:
+        return math.inf
+    adj = 1.0
+    if meas is not None and not meas.is_perfect:
+        adj = d_m(sel, meas, ybar)
+    return float(f / (1.0 - f) / (rho * adj) ** 2)
+
+
+def reference_neff_table(ybar_grid, rel_rate_grid, f, meas=None):
+    """The per-cell loop: one scalar scenario and bound per (prevalence, M) cell."""
+    out = np.empty((len(ybar_grid), len(rel_rate_grid)))
+    for i, ybar in enumerate(ybar_grid):
+        for j, m in enumerate(rel_rate_grid):
+            bound = reference_neff_bound(ybar, m, f, meas)
+            out[i, j] = math.floor(bound) if math.isfinite(bound) else math.inf
+    return out
+
+
+def random_neff_grid(rng):
+    """A (ybar grid, M grid, f, meas) case; every cell keeps both testing rates in [0, 1]."""
+    edge = rng.random() < 0.2  # f at the lower edge of its domain
+    kinds = rng.integers(0, 4, size=rng.integers(1, 6))
+    ybar = np.where(
+        kinds == 0, 10.0 ** rng.uniform(-12, -3, kinds.size),  # near 0
+        np.where(kinds == 1, 0.5 - 10.0 ** rng.uniform(-12, -2, kinds.size),  # near 0.5
+                 rng.uniform(1e-3, 0.95, kinds.size)),
+    )
+    if edge:  # keep (rho * D_M)^2 clear of underflow at f = TINY
+        ybar = np.clip(ybar, 1e-3, 0.9)
+    kinds = rng.integers(0, 3, size=rng.integers(1, 6))
+    rel_rate = np.where(kinds == 0, 1.0, np.where(
+        kinds == 1, rng.uniform(0.05, 0.95, kinds.size), rng.uniform(1.05, 50.0, kinds.size)))
+    if edge:
+        f = TINY * rng.choice([1.0, 1.0, 3.0])
+    else:
+        f = 10.0 ** rng.uniform(-6, np.log10(0.5))
+        # f0 = f / (ybar (M - 1) + 1) and f1 = M f0 must stay <= 1 in every cell.
+        top = (np.maximum(rel_rate, 1.0) * f / (ybar[:, None] * (rel_rate - 1.0) + 1.0)).max()
+        if top > 1.0:
+            f = f / (2.0 * top)
+    meas = None
+    if rng.random() < 0.5:
+        meas = rng.choice([PERFECT_TEST, MEAS_REF, MeasurementModel(
+            fp=rng.uniform(0.0, 0.05), fn=rng.uniform(0.0, 0.3))])
+    return ybar.tolist(), rel_rate.tolist(), float(f), meas
+
+
+def test_neff_table_equals_the_per_cell_loop_on_seeded_grids():
+    rng = np.random.default_rng(20260)
+    seen = {"meas": 0, "no-meas": 0, "inf": 0, "m<1": 0, "edge": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(2400):
+            ybar, rel_rate, f, meas = random_neff_grid(rng)
+            table = neff_table(ybar, rel_rate, f, meas)
+            expected = reference_neff_table(ybar, rel_rate, f, meas)
+            assert np.array_equal(table, expected), (ybar, rel_rate, f, meas)
+            seen["meas" if meas is not None else "no-meas"] += 1
+            seen["inf"] += bool(np.isinf(expected).any())
+            seen["m<1"] += min(rel_rate) < 1.0
+            seen["edge"] += f < 4 * TINY
+    assert min(seen.values()) >= 200, seen
+
+
+def test_neff_bound_scalar_is_a_float_equal_to_the_reference():
+    for ybar, m, f, meas in [(0.091, 2.0, 0.026, None), (0.091, 2.0, 0.026, MEAS_REF),
+                             (0.3, 0.4, 0.1, MEAS_REF), (0.2, 3.0, TINY, None)]:
+        bound = neff_bound(EffSizeScenario(ybar, m, f, meas))
+        assert type(bound) is float
+        assert bound == reference_neff_bound(ybar, m, f, meas)
+
+
+def test_neff_bound_broadcasts_over_array_scenarios():
+    ybar = np.array([[0.05], [0.2]])
+    bounds = neff_bound(EffSizeScenario(ybar, np.array([0.5, 2.0]), 0.026, MEAS_REF))
+    assert bounds.shape == (2, 2)
+    for (i, j), bound in np.ndenumerate(bounds):
+        assert bound == reference_neff_bound(ybar[i, 0], [0.5, 2.0][j], 0.026, MEAS_REF)
+
+
+def test_neff_table_warns_once_for_all_its_infinite_cells():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = neff_table([0.016, 0.05, 0.1], [1.0, 2.0, 1.0], 0.026, MEAS_REF)
+    assert np.isinf(table[:, [0, 2]]).all() and np.isfinite(table[:, 1]).all()
+    assert [w.category for w in caught] == [RuntimeWarning]
+
+
+def test_neff_table_builds_one_selection_model(monkeypatch):
+    built = []
+    post_init = SelectionModel.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SelectionModel, "__post_init__", counting)
+    neff_table([0.016, 0.036, 0.056, 0.076, 0.096], [1.2, 1.4, 1.6, 1.8, 2.0], 0.026, MEAS_REF)
+    assert len(built) == 1
+
+
+def test_scenario_keeps_its_selection_model():
+    sc = EffSizeScenario(0.091, 2.0, 0.026)
+    assert sc.selection is sc.selection
+    assert sc == EffSizeScenario(0.091, 2.0, 0.026)
+    assert "selection" not in repr(sc)
+
+
+def test_scenario_rejects_an_underflowed_testing_rate():
+    # f0 = TINY / (0.5 * 1e300) underflows to 0, and so does f1 = M * f0.
+    with pytest.raises(ValueError, match=r"^f0 must be finite and positive, got 0\.0$"):
+        EffSizeScenario(0.5, 1e300, TINY)
