@@ -14,6 +14,7 @@ from .population import (
     MCEstimate,
     MeasurementModel,
     PERFECT_TEST,
+    PopulationCounts,
     Realization,
     SelectionModel,
     empirical_stats,

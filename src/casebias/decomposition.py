@@ -27,6 +27,7 @@ from .population import (
     EmpiricalStats,
     FinitePopulation,
     MeasurementModel,
+    PopulationCounts,
     SelectionModel,
     SeedLike,
     _realized_counts,
@@ -122,7 +123,7 @@ def imperfect_error(
     return ErrorDecomposition(*map(_float_or_array, (dq, inter, bias, total, f)))
 
 
-def decompose_realization(pop: FinitePopulation, stats: EmpiricalStats) -> ErrorDecomposition:
+def decompose_realization(pop: PopulationCounts, stats: EmpiricalStats) -> ErrorDecomposition:
     """Decomposition with realized (scalar or array) rates; total_error = ybar* - Ybar exactly."""
     return imperfect_error(
         ybar=pop.prevalence,

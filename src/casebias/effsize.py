@@ -11,9 +11,8 @@ converts that budget into the size of the equal-probability sample with the
 same mean squared error (D_M = 1 without measurement error).  ``neff_bound``
 is the one kernel: a scenario may hold arrays that broadcast together, and
 ``neff_table`` is a single evaluation over a (prevalence x M) grid, with one
-warning for all its infinite (equal-probability) cells.  E[rho^2] is
-approximated by rho^2 throughout; Monte Carlo counterparts live in
-``population.mc_expectation``.
+warning for all its infinite cells.  E[rho^2] is approximated by rho^2
+throughout; Monte Carlo counterparts live in ``population.mc_expectation``.
 """
 from __future__ import annotations
 
@@ -24,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check
+from ._domain import AT_LEAST_2, OPEN_UNIT, POPULATION_SIZE, POSITIVE, TESTED_FRACTION, check
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
-from .population import make_population, mc_expectation
+from .population import PopulationCounts, mc_expectation
 from .decomposition import corrected_prevalence, d_m, meas_adjustment
 
 __all__ = [
@@ -85,18 +84,20 @@ def binary_rho(delta: float, ybar: float, f: float) -> float:
 def neff_bound(scenario: EffSizeScenario) -> float:
     """Equivalent equal-probability sample size f/(1-f) / (rho * D_M)^2, elementwise.
 
-    Infinite where the scenario is equal-probability sampling and the analytic
-    rho vanishes, with one warning per call.  A scalar scenario gives a float.
+    Infinite where (rho * D_M)^2 is 0, as under equal-probability sampling
+    (rho = 0), or so small that it underflows or the quotient overflows; one
+    warning per call covers every infinite cell.  A scalar scenario gives a float.
     """
     sel, ybar, f = scenario.selection, scenario.ybar, scenario.f
     rho = binary_rho(sel.delta, ybar, f)
     adj = d_m(sel, scenario.meas or PERFECT_TEST, ybar)  # exactly 1.0 for a perfect test
-    if np.any(rho == 0.0):
-        warnings.warn("equal-probability scenario: analytic rho is 0, bound is infinite",
-                      RuntimeWarning, stacklevel=2)
     # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         bound = f / (1.0 - f) / np.float_power(rho * adj, 2)
+    if np.any(np.isinf(bound)):
+        warnings.warn("neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability "
+                      "sampling) or so small that the bound exceeds a double",
+                      RuntimeWarning, stacklevel=2)
     return bound if isinstance(bound, np.ndarray) else float(bound)
 
 
@@ -120,11 +121,17 @@ def format_neff_table(
     rel_rate_grid: Sequence[float],
 ) -> str:
     """CSV rendering with two-decimal cells, prevalence down, M across."""
-    lines = ["ybar," + ",".join(f"{m:g}" for m in rel_rate_grid)]
+    lines = ["ybar," + ",".join(map(_label, rel_rate_grid))]
     for ybar, row in zip(ybar_grid, table):
         cells = ",".join("inf" if math.isinf(v) else f"{v:.2f}" for v in row)
-        lines.append(f"{ybar:g},{cells}")
+        lines.append(f"{_label(ybar)},{cells}")
     return "\n".join(lines) + "\n"
+
+
+def _label(x) -> str:
+    """A grid value as a CSV label: ``{x:g}``, or ``repr`` where that would not read back as x."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 def mse_vs_srs(size: int, exp_rho_sq: float) -> float:
@@ -215,15 +222,16 @@ def relative_mse_mc(
 ):
     """Monte Carlo counterpart of ``relative_mse``: squared-mean-error ratio.
 
-    Estimates the expectation-level error of each estimator by averaging over
-    replications, squares the means, and returns (ratio, standard_error) with
-    the error propagated from the two mean estimates.  Agrees with
-    ``relative_mse(..., adjustment="expectation")`` within Monte Carlo noise.
-    ``seed`` may be an int, a SeedSequence or a Generator.
+    Averages each estimator's error over replications on the counts of ``size``
+    individuals, round(ybar * size) positive, as ``make_population`` fixes them;
+    squares the means and returns (ratio, standard_error), the error propagated
+    from the two means.  Agrees with ``relative_mse(..., adjustment="expectation")``
+    within Monte Carlo noise.  ``seed`` may be an int, a SeedSequence or a Generator.
     """
     _check_shared(with_meas, without)
     meas = with_meas.meas or PERFECT_TEST
-    pop = make_population(size, with_meas.ybar, seed=0)
+    check("size", size, POPULATION_SIZE)  # before round(), which fails on NaN and inf
+    pop = PopulationCounts(size, int(round(with_meas.ybar * size)))
     sel = with_meas.selection
 
     if estimator == "uncorrected":

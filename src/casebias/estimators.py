@@ -22,7 +22,7 @@ import numpy as np
 from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check
 from .population import MeasurementModel, SelectionModel
 from .decomposition import _flip_mass, corrected_prevalence, d_m
-from .effsize import binary_rho
+from .effsize import _label, binary_rho
 from .epidemic import SirTrajectory
 
 __all__ = [
@@ -239,7 +239,7 @@ def bias_curves_csv(curves: BiasCurves) -> str:
     cells[0::3] = steps * len(curves.rel_rates)
     cells[1::3] = curves.ratio_bias[:, curves.steps].ravel().tolist()
     cells[2::3] = curves.rt_bias[:, curves.steps].ravel().tolist()
-    template = "".join(f"%s,{m:g},%.6g,%.6g\n" * len(steps) for m in curves.rel_rates)
+    template = "".join(f"%s,{_label(m)},%.6g,%.6g\n" * len(steps) for m in curves.rel_rates)
     return "step,M,ratio_bias,rt_bias\n" + template % tuple(cells)
 
 

@@ -7,6 +7,15 @@ every individual but consumed only where the selection indicator is 1; the
 population-wide flip vector is what makes the three-term error identity exact
 realization by realization.
 
+A population enters the count layer only through its size N and its number
+of positives: ``PopulationCounts(size, total)`` holds those two and derives
+``prevalence`` = total / N and ``sigma_y`` = sqrt(prev * (1 - prev)), once.
+``FinitePopulation`` is a ``PopulationCounts`` built from an outcome vector,
+which it keeps with its positive mask; two are equal when their outcomes
+are.  ``stats_from_counts``, ``mc_expectation`` and
+``decomposition.decompose_realization`` take either, so they run at any N;
+``realize`` and the replays below place individuals and need the vector.
+
 Every field of ``EmpiricalStats`` is a function of eight joint counts over
 (Y, selected, flipped).  ``stats_from_counts`` is the one kernel that turns
 counts into statistics, array in and array out, with a degenerate mask.  Two
@@ -48,10 +57,11 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ._domain import AT_LEAST_2, ERROR_RATE, POSITIVE, UNIT, check
+from ._domain import AT_LEAST_2, ERROR_RATE, POPULATION_SIZE, POSITIVE, UNIT, check
 
 __all__ = [
     "DegenerateSampleError",
+    "PopulationCounts",
     "FinitePopulation",
     "SelectionModel",
     "MeasurementModel",
@@ -76,40 +86,55 @@ class DegenerateSampleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FinitePopulation:
-    """Fixed binary disease indicators for N individuals.
+class PopulationCounts:
+    """N individuals, ``total`` of them positive, with the moments derived from those counts."""
 
-    The outcomes never change, so the positive mask, the number of positives
-    ``total``, ``prevalence`` = total / N and ``sigma_y`` =
-    sqrt(prev * (1 - prev)) are computed once, at construction.
-    """
-
-    outcomes: np.ndarray
-    positive: np.ndarray = field(init=False, repr=False, compare=False)
-    total: int = field(init=False, repr=False, compare=False)
+    size: int
+    total: int
     prevalence: float = field(init=False, repr=False, compare=False)
     sigma_y: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check("size", self.size, POPULATION_SIZE)
+        if not (0 <= self.total <= self.size and self.total % 1 == 0):
+            raise ValueError(f"total must be an integer in [0, {self.size}], got {self.total}")
+        prevalence = self.total / self.size
+        object.__setattr__(self, "prevalence", prevalence)
+        object.__setattr__(self, "sigma_y", float(np.sqrt(prevalence * (1.0 - prevalence))))
+
+
+@dataclass(frozen=True)
+class FinitePopulation(PopulationCounts):
+    """Fixed binary disease indicators for N individuals, with their counts and positive mask."""
+
+    size: int = field(init=False)
+    total: int = field(init=False)
+    outcomes: np.ndarray
+    positive: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
         arr = np.asarray(self.outcomes, dtype=np.int8)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("population needs a 1-d outcome vector of length >= 2")
+        if arr.ndim != 1:  # PopulationCounts checks its length
+            raise ValueError("population needs a 1-d outcome vector")
         if not (arr.view(np.uint8) <= 1).all():  # -1..-128 read as 255..128
             raise ValueError("outcomes must be 0/1")
         arr.flags.writeable = False
         positive = arr == 1
         positive.flags.writeable = False
-        total = int(arr.sum())
-        prevalence = total / arr.size
         object.__setattr__(self, "outcomes", arr)
         object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "prevalence", prevalence)
-        object.__setattr__(self, "sigma_y", float(np.sqrt(prevalence * (1.0 - prevalence))))
+        object.__setattr__(self, "size", arr.size)
+        object.__setattr__(self, "total", int(arr.sum()))
+        super().__post_init__()
 
-    @property
-    def size(self) -> int:
-        return int(self.outcomes.size)
+    # Equal outcome vectors, not equal counts; == on two arrays gives no one bool.
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.outcomes, other.outcomes)
+
+    def __hash__(self):
+        return hash((self.size, self.total))
 
 
 @dataclass(frozen=True)
@@ -239,7 +264,7 @@ def make_population(size: int, prevalence: float, seed: SeedLike) -> FinitePopul
     The count is deterministic so that the prevalence and problem difficulty
     are known constants; only the placement of positives is randomized.
     """
-    check("size", size, AT_LEAST_2)
+    check("size", size, POPULATION_SIZE)
     check("prevalence", prevalence, UNIT)
     ones = int(round(prevalence * size))
     rng = np.random.default_rng(seed)
@@ -329,7 +354,7 @@ def _cells(pop: FinitePopulation, selected: np.ndarray, flipped) -> list:
     ]
 
 
-def stats_from_counts(pop: FinitePopulation, counts) -> tuple[EmpiricalStats, np.ndarray]:
+def stats_from_counts(pop: PopulationCounts, counts) -> tuple[EmpiricalStats, np.ndarray]:
     """Statistics from joint cell counts: the one kernel behind every sampler.
 
     ``counts`` has the ``joint_counts`` layout on its last axis; any leading
@@ -408,10 +433,10 @@ def empirical_stats(pop: FinitePopulation, r: Realization) -> EmpiricalStats:
     return EmpiricalStats(*(float(getattr(stats, name)) for name in _FIELDS))
 
 
-Functional = Union[str, Callable[[FinitePopulation, EmpiricalStats], float]]
+Functional = Union[str, Callable[[PopulationCounts, EmpiricalStats], float]]
 
 # Each entry also runs unchanged on array-valued stats.
-FUNCTIONALS = {
+FUNCTIONALS: dict[str, Callable[[PopulationCounts, EmpiricalStats], object]] = {
     "rho_iy": lambda pop, s: s.rho_iy,
     "rho_iy_sq": lambda pop, s: s.rho_iy ** 2,
     "rho_ipz": lambda pop, s: s.rho_ipz,
@@ -436,7 +461,7 @@ def _usable(stats: EmpiricalStats, degenerate: np.ndarray) -> EmpiricalStats:
     return EmpiricalStats(*(getattr(stats, name)[keep] for name in _FIELDS))
 
 
-def _summarize(pop: FinitePopulation, counts: np.ndarray, functional: Functional) -> MCEstimate:
+def _summarize(pop: PopulationCounts, counts: np.ndarray, functional: Functional) -> MCEstimate:
     """Mean and standard error of a functional over per-replication counts.
 
     Degenerate replications are skipped and counted; more than 50%
@@ -468,7 +493,7 @@ def _cell_probabilities(f: float, rate: float) -> list:
 
 
 def mc_expectation(
-    pop: FinitePopulation,
+    pop: PopulationCounts,
     sel: SelectionModel,
     meas: MeasurementModel,
     functional: Functional,

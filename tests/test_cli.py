@@ -610,6 +610,30 @@ def test_neff_accepts_the_smallest_normal_tested_fractions(tmp_path):
     assert run(tmp_path, "neff", "--f", "2.2250738585072014e-308", "--m-grid", "2") == 0
 
 
+def test_neff_flags_a_cell_whose_bound_underflows_to_inf(tmp_path, capsys):
+    argv = ["neff", "--f", "1e-300", "--ybar-grid", "0.5", "--m-grid", "1.000000000001,2"]
+    assert run(tmp_path, *argv) == 0
+    assert (tmp_path / "neff_table.csv").read_text() == "ybar,1.000000000001,2\n0.5,inf,9.00\n"
+    flags = [line for line in capsys.readouterr().err.splitlines() if line.startswith("flag: ")]
+    assert len(flags) == 1 and "neff bound is infinite" in flags[0]
+
+
+@pytest.mark.parametrize(
+    "argv, filename",
+    [(["neff", "--f", "0.026"], "neff_table.csv"),
+     (["bias-curves", "--horizon", "3"], "bias_curves.csv")],
+    ids=["neff", "bias-curves"],
+)
+def test_close_grid_values_get_distinct_labels(tmp_path, argv, filename):
+    assert run(tmp_path, *argv, "--m-grid", "1.2,1.2000001") == 0
+    text = (tmp_path / filename).read_text()
+    if filename == "neff_table.csv":
+        assert text.split("\n")[0] == "ybar,1.2,1.2000001"
+    else:
+        labels = [line.split(",")[1] for line in text.splitlines()[1:]]
+        assert labels == ["1.2"] * 3 + ["1.2000001"] * 3  # steps 0, 1 and 2 per M
+
+
 def test_config_file_and_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("# scenario\nf = 0.026\nybar-grid = 0.016,0.096\n")

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ from casebias import (
     MeasurementModel,
     PERFECT_TEST,
     SelectionModel,
+    PopulationCounts,
     binary_rho,
     capacity_tradeoff,
+    corrected_prevalence,
     d_m,
     format_neff_table,
     make_population,
@@ -22,6 +25,7 @@ from casebias import (
     relative_mse_mc,
 )
 from casebias._domain import TINY
+from casebias.effsize import _label
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
 
@@ -316,3 +320,85 @@ def test_scenario_rejects_an_underflowed_testing_rate():
     # f0 = TINY / (0.5 * 1e300) underflows to 0, and so does f1 = M * f0.
     with pytest.raises(ValueError, match=r"^f0 must be finite and positive, got 0\.0$"):
         EffSizeScenario(0.5, 1e300, TINY)
+
+
+def reference_relative_mse_mc(with_meas, without, size, replications, seed,
+                              estimator="uncorrected"):
+    """``relative_mse_mc`` as it ran on the N-length ``make_population(size, ybar, seed=0)``."""
+    meas = with_meas.meas or PERFECT_TEST
+    pop = make_population(size, with_meas.ybar, seed=0)
+    sel = with_meas.selection
+    if estimator == "uncorrected":
+        func = "error"
+    else:
+        def func(p, s):
+            return corrected_prevalence(s.ybar_star, meas) - p.prevalence
+    rng = np.random.default_rng(seed)
+    num = mc_expectation(pop, sel, meas, func, replications, rng)
+    den = mc_expectation(pop, sel, PERFECT_TEST, "error", replications, rng)
+    ratio = (num.mean / den.mean) ** 2
+    se = abs(ratio) * 2.0 * math.sqrt(
+        (num.std_error / num.mean) ** 2 + (den.std_error / den.mean) ** 2
+    )
+    return float(ratio), float(se)
+
+
+@pytest.mark.parametrize("estimator", ["uncorrected", "corrected"])
+@pytest.mark.parametrize("form", ["int", "seed-sequence", "generator"])
+@pytest.mark.parametrize("ybar, size", [(0.091, 100_000), (0.3, 20_001), (0.5, 2_001)])
+def test_relative_mse_mc_equals_the_make_population_path(ybar, size, form, estimator):
+    with_meas = EffSizeScenario(ybar, 1.5, 0.026, MEAS_REF)
+    without = EffSizeScenario(ybar, 1.5, 0.026)
+    seeds = {"int": lambda: 17, "seed-sequence": lambda: np.random.SeedSequence(17),
+             "generator": lambda: np.random.default_rng(17)}[form]
+    got = relative_mse_mc(with_meas, without, size, 600, seeds(), estimator)
+    assert got == reference_relative_mse_mc(with_meas, without, size, 600, seeds(), estimator)
+
+
+def test_relative_mse_mc_builds_no_population_vector():
+    with_meas = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
+    without = EffSizeScenario(0.091, 1.5, 0.026)
+    start = time.perf_counter()
+    ratio, se = relative_mse_mc(with_meas, without, size=10**12, replications=600, seed=17)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(ratio) and math.isfinite(se)
+    analytic = relative_mse(with_meas, without, adjustment="expectation")
+    assert abs(ratio - analytic) < 3 * se
+    for size in (1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^size must be an integer >= 2, got {size}$"):
+            relative_mse_mc(with_meas, without, size=size, replications=600, seed=17)
+    assert PopulationCounts(10**12, round(0.091 * 10**12)).prevalence == 0.091
+
+
+def test_neff_table_warns_where_the_bound_underflows_to_inf():
+    # At f = 1e-300, (rho * D_M)^2 underflows to 0 for M within ~1e-12 of 1.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = neff_table([0.5], [1.000000000001, 2.0], 1e-300)
+    assert math.isinf(table[0, 0]) and table[0, 1] == 9.0
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "so small" in str(caught[0].message)
+    assert table[0, 1] == math.floor(reference_neff_bound(0.5, 2.0, 1e-300))
+    with pytest.warns(RuntimeWarning, match="is infinite"):
+        assert math.isinf(neff_bound(EffSizeScenario(0.5, 1.000000000001, 1e-300)))
+
+
+def test_neff_table_with_finite_cells_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        neff_table([0.016, 0.096], [1.2, 2.0], 0.026, MEAS_REF)
+        neff_bound(EffSizeScenario(0.2, 3.0, TINY))
+
+
+def test_grid_labels_read_back_as_the_grid_values():
+    ybar_grid, m_grid = [0.016, 0.1 + 1e-12], [1.2, 1.2000001, 1.000000000001, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        table = neff_table(ybar_grid, m_grid, 0.026)
+    lines = format_neff_table(table, ybar_grid, m_grid).split("\n")
+    assert lines[0] == "ybar,1.2,1.2000001,1.000000000001,2"
+    assert [float(line.split(",")[0]) for line in lines[1:-1]] == ybar_grid
+    for x in [0.016, 1.2, 2.0, 1e-7, 0.125, 3, np.float64(1.6), math.inf]:
+        assert _label(x) == f"{x:g}"
+    assert _label(math.nan) == "nan"
+    assert _label(np.float64(1.2000001)) == "1.2000001"

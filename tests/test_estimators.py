@@ -551,6 +551,16 @@ def test_bias_curves_csv_renders_special_cells_like_reference():
     assert "nan" in text and "-inf" in text and ",-0," in text
 
 
+def test_bias_curves_csv_m_labels_read_back_as_the_rates():
+    rel_rates = (1.2, 1.2000001, 1.000000000001, np.float64(2.0))
+    cells = np.zeros((len(rel_rates), 2))
+    curves = BiasCurves(steps=np.arange(2), rel_rates=rel_rates, ratio_bias=cells,
+                        rt_bias=cells, flagged=())
+    labels = [line.split(",")[1] for line in bias_curves_csv(curves).splitlines()[1:]]
+    assert labels[::2] == ["1.2", "1.2000001", "1.000000000001", "2"]
+    assert [float(label) for label in labels[::2]] == list(rel_rates)
+
+
 @pytest.mark.parametrize(
     "n_steps, rel_rates", [(0, (2.0, 4.0)), (5, ())], ids=["no-steps", "no-rates"]
 )

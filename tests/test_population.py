@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -13,14 +14,18 @@ from casebias import (
     FinitePopulation,
     MeasurementModel,
     PERFECT_TEST,
+    PopulationCounts,
     SelectionModel,
+    binary_rho,
     decompose_realization,
     empirical_stats,
+    forward_rho_dm,
     joint_counts,
     make_population,
     mc_expectation,
     mc_expectation_reference,
     realize,
+    rho_ipz_from_rho_iy,
     stats_from_counts,
 )
 from casebias.decomposition import verify_identity
@@ -613,3 +618,130 @@ def test_below_with_equal_rates_is_the_three_pass_form(rate):
     assert got.dtype == np.bool_
     assert np.array_equal(got, _below_three_pass(u, pos, rate, rate))
     assert np.array_equal(got, u < np.where(pos, rate, rate))
+
+
+@pytest.mark.parametrize(
+    "size, total, message",
+    [
+        (1, 0, "size must be an integer >= 2, got 1"),
+        (2.5, 1, "size must be an integer >= 2, got 2.5"),
+        (math.nan, 1, "size must be an integer >= 2, got nan"),
+        (math.inf, 1, "size must be an integer >= 2, got inf"),
+        (10, -1, r"total must be an integer in \[0, 10\], got -1"),
+        (10, 11, r"total must be an integer in \[0, 10\], got 11"),
+        (10, 2.5, r"total must be an integer in \[0, 10\], got 2.5"),
+        (10, math.nan, r"total must be an integer in \[0, 10\], got nan"),
+    ],
+)
+def test_population_counts_reject_out_of_domain_counts(size, total, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PopulationCounts(size, total)
+
+
+@pytest.mark.parametrize("size", [2.5, math.inf, math.nan, 1])
+def test_make_population_names_a_size_that_is_not_an_integer_of_at_least_2(size):
+    with pytest.raises(ValueError, match=f"^size must be an integer >= 2, got {size}$"):
+        make_population(size, 0.5, seed=0)
+
+
+def test_population_counts_derive_prevalence_and_sigma_y():
+    counts = PopulationCounts(1000, 91)
+    assert (counts.prevalence, counts.sigma_y) == (0.091, math.sqrt(0.091 * 0.909))
+    assert PopulationCounts(10**12, 0).sigma_y == 0.0
+    assert repr(counts) == "PopulationCounts(size=1000, total=91)"
+
+
+def old_derivation(outcomes):
+    """``FinitePopulation.__post_init__``'s derived fields as it computed them itself."""
+    arr = np.asarray(outcomes, dtype=np.int8)
+    total = int(arr.sum())
+    prevalence = total / arr.size
+    return int(arr.size), total, prevalence, float(np.sqrt(prevalence * (1.0 - prevalence)))
+
+
+def test_finite_population_counts_equal_the_old_derivation():
+    rng = np.random.default_rng(515)
+    for _ in range(300):
+        outcomes = (rng.random(int(rng.integers(2, 3000))) < rng.random()).astype(np.int64)
+        pop = FinitePopulation(outcomes)
+        assert isinstance(pop, PopulationCounts)
+        got = (pop.size, pop.total, pop.prevalence, pop.sigma_y)
+        assert got == old_derivation(outcomes)
+        assert [type(v) for v in got] == [int, int, float, float]
+    with pytest.raises(ValueError, match="^size must be an integer >= 2, got 1$"):
+        FinitePopulation([1])
+    with pytest.raises(ValueError, match="1-d outcome vector"):
+        FinitePopulation([[0, 1], [1, 0]])
+
+
+def test_population_equality_never_raises_and_reads_the_outcomes():
+    a, b = make_population(10, 0.5, seed=0), make_population(10, 0.5, seed=0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != make_population(10, 0.5, seed=1)
+    early, late = FinitePopulation([1, 0, 0, 0]), FinitePopulation([0, 0, 0, 1])
+    assert early != late and not early == late
+    counts = PopulationCounts(4, 1)
+    assert early != counts and counts != early
+    assert counts == PopulationCounts(4, 1) and hash(counts) == hash(PopulationCounts(4, 1))
+    assert early != "population"
+
+
+def forward_functional(p, s):
+    """Criterion 10's callable forward functional."""
+    ybar_p = p.prevalence
+    mix = s.fp_hat * (1 - ybar_p) + s.fn_hat * ybar_p
+    delta_hat = s.f1_hat - s.f0_hat
+    d_hat = 1 + s.fp_hat + s.fn_hat - delta_hat * (ybar_p / (1 - ybar_p)) * mix / s.f_hat
+    return math.sqrt((1 - s.f_hat) / s.f_hat) * s.rho_iy * d_hat * p.sigma_y
+
+
+def test_mc_expectation_on_counts_equals_it_on_the_population():
+    from test_acceptance import GRID_12
+
+    for idx, (ybar, m, f, fp, fn) in enumerate(GRID_12):
+        pop = make_population(100_000, ybar, seed=100 + idx)
+        counts = PopulationCounts(pop.size, pop.total)
+        sel = SelectionModel.from_relative_rate(f, m, pop.prevalence)
+        meas = MeasurementModel(fp, fn)
+        for functional in ("rho_iy", forward_functional):
+            on_counts = mc_expectation(counts, sel, meas, functional, 300, seed=1000 + idx)
+            assert on_counts == mc_expectation(pop, sel, meas, functional, 300, seed=1000 + idx)
+        cells = joint_counts(pop, realize(pop, sel, meas, seed=idx))
+        stats, degenerate = stats_from_counts(counts, cells)
+        assert (stats, degenerate) == stats_from_counts(pop, cells)
+        assert decompose_realization(counts, stats) == decompose_realization(pop, stats)
+
+
+def test_paper_scale_counts_oracle_and_exact_identity():
+    # The README's compare --n1 328e6 scale: no 328 MB outcome vector is built.
+    start = time.perf_counter()
+    pop = PopulationCounts(328_000_000, 32_800_000)
+    sel = SelectionModel.from_relative_rate(0.023, 2.0, pop.prevalence)
+    meas = MeasurementModel(0.01, 0.15)
+    f_true = sel.overall_fraction(pop.prevalence)
+
+    # Criterion 10's three checks, within its 3 SE bound, at 10^4 replications.
+    est_rho = mc_expectation(pop, sel, meas, "rho_iy", 10_000, seed=1)
+    assert abs(est_rho.mean - binary_rho(sel.delta, pop.prevalence, f_true)) < 3 * est_rho.std_error
+    est_ipz = mc_expectation(pop, sel, meas, "rho_ipz", 10_000, seed=2)
+    ipz_pred = rho_ipz_from_rho_iy(est_rho.mean, sel, meas, pop.prevalence)
+    assert abs(est_ipz.mean - ipz_pred) < 3 * est_ipz.std_error
+    est_fwd = mc_expectation(pop, sel, meas, forward_functional, 10_000, seed=3)
+    fwd_pred = (math.sqrt((1 - f_true) / f_true) * pop.sigma_y
+                * forward_rho_dm(sel.delta, pop.prevalence, f_true, meas))
+    assert abs(est_fwd.mean - fwd_pred) < 3 * est_fwd.std_error
+
+    # The exact identity on 10^4 multinomial count draws: positives' cells, then negatives'.
+    def cells(f, rate):
+        return [f * rate, f * (1 - rate), (1 - f) * rate, (1 - f) * (1 - rate)]
+
+    rng = np.random.default_rng(4)
+    counts = np.concatenate([rng.multinomial(pop.total, cells(sel.f1, meas.fn), size=10_000),
+                             rng.multinomial(pop.size - pop.total, cells(sel.f0, meas.fp),
+                                             size=10_000)], axis=1)
+    stats, degenerate = stats_from_counts(pop, counts)
+    assert not degenerate.any()
+    lhs = stats.ybar_star - pop.prevalence
+    residual = np.abs(decompose_realization(pop, stats).total_error - lhs)
+    assert (residual / np.maximum(np.abs(lhs), 1e-2)).max() < 1e-10
+    assert time.perf_counter() - start < 1.0
