@@ -636,10 +636,18 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     return parser
 
 
+# One parser per command name, and one (None) with all nine for anything else.
+# parse_args only reads a parser, and help reads the terminal width when printed.
+_PARSERS: dict = {}
+
+
 def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
+    command = argv[0] if argv and argv[0] in _OPTION_TABLES else None
+    if command not in _PARSERS:
+        _PARSERS[command] = _build_parser(command)
+    parser = _PARSERS[command]
     try:
         args = parser.parse_args(argv)
         if args.command is None:

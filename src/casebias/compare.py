@@ -107,14 +107,24 @@ def starred_z(rho1: float, rho2: float, n1: float, n2: float) -> float:
     sqrt((N1-1)(N2-1)/(N1+N2-2)) * (rho1 - rho2); the exact denominator is
     N1+N2-2, which ``population_adjustment`` approximates by N1+N2.
     """
-    return math.sqrt((n1 - 1.0) * (n2 - 1.0) / (n1 + n2 - 2.0)) * (rho1 - rho2)
+    return _size_factor(n1, n2, 0.0) * (rho1 - rho2)
+
+
+def _size_factor(n1: float, n2: float, extra: float) -> float:
+    """sqrt((N1-1)(N2-1)/(N1+N2-2+extra)), finite for every pair of finite sizes.
+
+    With lo <= hi the two N-1, the ratio is lo / (1 + (lo+extra)/hi): no
+    product or sum of the sizes is formed, so none can overflow.
+    """
+    lo, hi = sorted((n1 - 1.0, n2 - 1.0))
+    return math.sqrt(lo / (1.0 + (lo + extra) / hi))
 
 
 def population_adjustment(n1: float, n2: float) -> float:
     """sqrt((N1-1)(N2-1)/(N1+N2)); about sqrt(min(N)-1) for lopsided sizes."""
     check("n1", n1, POPULATION)
     check("n2", n2, POPULATION)
-    return math.sqrt((n1 - 1.0) * (n2 - 1.0) / (n1 + n2))
+    return _size_factor(n1, n2, 2.0)
 
 
 def delta_diff_threshold(n1: float, n2: float, f: float, ybar: float) -> float:
@@ -130,8 +140,7 @@ def delta_diff_threshold(n1: float, n2: float, f: float, ybar: float) -> float:
     check("f", f, TESTED_FRACTION)
     check("ybar", ybar, OPEN_UNIT)
     rho_factor = math.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
-    adj_exact = math.sqrt((n1 - 1.0) * (n2 - 1.0) / (n1 + n2 - 2.0))
-    return 1.0 / (rho_factor * adj_exact)
+    return 1.0 / (rho_factor * _size_factor(n1, n2, 0.0))
 
 
 def z_eff(

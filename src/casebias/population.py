@@ -177,7 +177,12 @@ class SelectionModel:
         """
         check("relative rate", rel_rate, POSITIVE)
         check("prevalence", prevalence, UNIT)
-        f0 = f / (prevalence * (rel_rate - 1.0) + 1.0)
+        try:
+            f0 = f / (prevalence * (rel_rate - 1.0) + 1.0)
+        except ZeroDivisionError:
+            # Positive in exact arithmetic, the scale rounds to 0 at prevalence 1 for
+            # rel_rate < ~1.1e-16.  (Arrays give f0 = inf there, which the f0 check names.)
+            raise ValueError("prevalence * (relative rate - 1) + 1 must be > 0, got 0.0") from None
         return cls(f0=f0, f1=rel_rate * f0)
 
 
@@ -304,14 +309,19 @@ def realize(
     below its flip rate (``fn`` or ``fp``).  The N selection uniforms are
     drawn before the N flip uniforms, into one reused buffer, so a given seed
     fixes the realization exactly and a ``Generator`` advances by 2N draws.
-    The rates are scalars.
+    Under a perfect test no flip can occur, so when the generator is private
+    (any seed but a ``Generator`` or bit generator) the N flip uniforms are
+    not drawn.  The rates are scalars.
     """
     rng = np.random.default_rng(seed)
     pos = pop.positive
     u = rng.random(pop.size)
     selected = _below(u, pos, sel.f1, sel.f0)
-    rng.random(out=u)
-    flipped = _below(u, pos, meas.fn, meas.fp)
+    if meas.is_perfect and not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        flipped = np.zeros(pop.size, dtype=bool)
+    else:
+        rng.random(out=u)
+        flipped = _below(u, pos, meas.fn, meas.fp)
     observed = (pos ^ flipped).view(np.int8)
     return Realization(selected=selected, flipped=flipped, observed=observed)
 

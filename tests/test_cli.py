@@ -289,6 +289,22 @@ def test_decompose_checks_size_on_both_paths(tmp_path, capsys, empirical):
     assert "--size must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ybar, size", [("1", "10"), ("0.9999999999999999", "100000")], ids=["one", "rounds-to-one"]
+)
+def test_decompose_relative_rate_that_rounds_the_scale_to_zero_names_the_flags(
+    tmp_path, capsys, ybar, size
+):
+    # At prevalence 1, prev * (m - 1) + 1 rounds to 0 for m below ~1.1e-16.
+    argv = ["decompose", "--ybar", ybar, "--f", "0.5", "--m", "1e-20", "--empirical", "true",
+            "--size", size, "--seed", "1"]
+    assert run(tmp_path, *argv) == 1
+    assert not (tmp_path / "decomposition.json").exists()
+    assert capsys.readouterr().err == (
+        "error: --f/--m/--ybar: prevalence * (relative rate - 1) + 1 must be > 0, got 0.0\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize(
     "argv, filename",
@@ -721,6 +737,20 @@ def test_compare_rejects_non_finite_input(tmp_path, option, value):
     assert not (tmp_path / "compare.json").exists()
 
 
+@pytest.mark.parametrize(
+    "n1, n2, adjustment",
+    [("1e308", "1e6", 999.999), ("1e308", "1e308", 7.07107e153), ("2", "1e308", 1.0)],
+)
+def test_compare_size_factors_stay_finite_at_the_largest_sizes(tmp_path, n1, n2, adjustment):
+    argv = ["compare", "--n1", n1, "--n2", n2, "--f1", "0.02", "--f2", "0.02",
+            "--ybar1", "0.1", "--ybar2", "0.1"]
+    assert run(tmp_path, *argv) == 0
+    outputs = json.loads((tmp_path / "compare.json").read_text())["outputs"]
+    assert outputs["population_adjustment"] == adjustment
+    threshold = outputs["delta_diff_threshold"]
+    assert isinstance(threshold, float) and 0.0 < threshold < 1.0
+
+
 @pytest.mark.parametrize("ybar", ["0", "1"])
 def test_compare_with_zero_pooled_variance_is_infeasible(tmp_path, capsys, ybar):
     argv = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
@@ -902,6 +932,88 @@ def test_module_entry_point_reads_sys_argv(tmp_path, monkeypatch):
     assert done.returncode == 0
     assert done.stdout == _surface(["--help"])["stdout"]
     assert done.stderr == ""
+
+
+@pytest.fixture
+def fresh_parsers(monkeypatch):
+    """An empty parser cache for the test; the module's own cache is put back after it."""
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    return cli._PARSERS
+
+
+def test_main_builds_each_parser_once(tmp_path, monkeypatch, fresh_parsers):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or
+                        build(command))
+    for _ in range(2):
+        assert main([*COMPARE_ARGS, "--out", str(tmp_path)]) == 0
+    assert built == ["compare"]
+    # Anything but a command name shares the one parser that holds all nine.
+    for argv in (["comp"], ["x"], [], ["--out", "o"], ["-n"], ["Compare"]):
+        assert main(argv) == 1
+    assert built == ["compare", None]
+    for command in COMMANDS:
+        main([command, "--bogus"])
+    assert sorted(built, key=str) == sorted([*COMMANDS, None], key=str)
+    assert set(fresh_parsers) == {*COMMANDS, None}
+
+
+def _compare_json(out, *extra):
+    assert main([*COMPARE_ARGS, *extra, "--out", str(out)]) == 0
+    return (out / "compare.json").read_bytes()
+
+
+def test_a_cached_parser_carries_no_option_into_the_next_call(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    first_call = _compare_json(tmp_path / "first")
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    with_neff = _compare_json(tmp_path / "neff", "--neff1", "15", "--neff2", "20")
+    assert "z_eff" in json.loads(with_neff)["outputs"]
+    again = _compare_json(tmp_path / "again")
+    assert "z_eff" not in json.loads(again)["outputs"]
+    assert again == first_call
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [["compare", "--n1", "1", "--bogus", "2"], ["compare", "--n", "1"], ["compare", "--n1"],
+     ["compare", "--n1", "nan"], [*COMPARE_ARGS, "--neff1", "15"]],
+    ids=["unknown-option", "ambiguous-prefix", "missing-value", "domain", "neff-alone"],
+)
+def test_a_failed_call_leaves_the_cached_parser_unchanged(tmp_path, monkeypatch, failing):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    want = _surface([*COMPARE_ARGS, "--out", str(tmp_path / "first")])
+    first_call = (tmp_path / "first" / "compare.json").read_bytes()
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    assert _surface([*failing, "--out", str(tmp_path / "failed")])["status"] == 1
+    assert not (tmp_path / "failed").exists()
+    got = _surface([*COMPARE_ARGS, "--out", str(tmp_path / "again")])
+    assert got == {**want, "stdout": want["stdout"].replace("first", "again")}
+    assert (tmp_path / "again" / "compare.json").read_bytes() == first_call
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
+def test_parser_surface_is_pinned_when_every_parser_is_reused(
+    tmp_path, monkeypatch, fresh_parsers, reverse
+):
+    # Each case runs twice in one process, the second time on parsers that
+    # other cases built, in the other order.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    pinned = json.loads(SURFACE.read_text())
+    order = sorted(SURFACE_CASES, reverse=reverse)
+    for case in order + order[::-1]:
+        assert _surface(SURFACE_CASES[case]) == pinned[case], case
+    assert len(fresh_parsers) <= 10
+
+
+@pytest.mark.parametrize("case", ["help", "compare-help"])
+def test_cached_parser_lays_out_help_for_the_width_at_print_time(monkeypatch, fresh_parsers, case):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = _surface(SURFACE_CASES[case])
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _surface(SURFACE_CASES[case]) == json.loads(SURFACE.read_text())[case] != wide
 
 
 if __name__ == "__main__":

@@ -84,6 +84,37 @@ def test_population_adjustment_lopsided_limit():
     assert value == pytest.approx(math.sqrt(38e6 - 1), rel=0.05)
 
 
+# (N1, N2): both ends of the POPULATION domain, the README's sizes, and lopsided
+# and equal pairs where (N1-1)(N2-1) or N1+N2 overflows a double.
+SIZE_PAIRS = [(1e308, 1e6), (1e308, 1e308), (2, 2), (2, 1e308), (328e6, 38e6), (38e6, 328e6),
+              (1e6, 1e308), (1.7976931348623157e308, 1.7976931348623157e308), (2, 3), (5, 9),
+              (1e154, 1e155), (1e200, 2)]
+
+
+def _size_factor_mp(mpmath, n1, n2, extra):
+    """sqrt((N1-1)(N2-1)/(N1+N2-2+extra)) at 50 digits, from the exact double inputs."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(n1) - 1, mpmath.mpf(n2) - 1
+        return mpmath.sqrt(a * b / (a + b + extra))
+
+
+@pytest.mark.parametrize("n1, n2", SIZE_PAIRS)
+def test_size_factors_match_a_high_precision_reference(n1, n2):
+    mpmath = pytest.importorskip("mpmath")
+    got = population_adjustment(n1, n2)
+    assert math.isfinite(got)
+    assert abs(got / _size_factor_mp(mpmath, n1, n2, 2) - 1) <= 1e-12
+    exact = _size_factor_mp(mpmath, n1, n2, 0)
+    assert abs(starred_z(0.3, 0.1, n1, n2) / (exact * mpmath.mpf(0.3 - 0.1)) - 1) <= 1e-12
+    f, ybar = 0.02, 0.1
+    threshold = delta_diff_threshold(n1, n2, f, ybar)
+    assert math.isfinite(threshold) and threshold > 0.0
+    with mpmath.workdps(50):
+        rho_factor = mpmath.sqrt(mpmath.mpf(ybar) * (1 - mpmath.mpf(ybar)) /
+                                 (mpmath.mpf(f) * (1 - mpmath.mpf(f))))
+        assert abs(threshold * rho_factor * exact - 1) <= 1e-12
+
+
 def test_delta_threshold_tracks_double_adjustment():
     # Near 10% prevalence and f around 2%, rho is close to 2*Delta, so the
     # |Z| < 1 region is about 1 / (2 * adjustment) wide.

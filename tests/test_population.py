@@ -93,6 +93,23 @@ def test_selection_from_relative_rate_rejects_non_finite_or_nonpositive(rate):
         SelectionModel.from_relative_rate(0.02, np.array([2.0, rate]), 0.1)
 
 
+@pytest.mark.parametrize("rate", [1e-20, 1e-17, 5e-324])
+def test_selection_from_relative_rate_rejects_a_scale_that_rounds_to_zero(rate):
+    # prev * (rate - 1) + 1 is positive for every rate > 0, but at prev = 1 it
+    # rounds to 0 below rate ~1.1e-16, where f0 = f / scale would divide by 0.
+    message = r"prevalence \* \(relative rate - 1\) \+ 1 must be > 0, got 0.0"
+    with pytest.raises(ValueError, match=message):
+        SelectionModel.from_relative_rate(0.5, rate, 1.0)
+    # numpy divides by the zero scale (inf, with its RuntimeWarning), and f0's check names it.
+    with pytest.raises(ValueError, match=r"f0 must lie in \[0, 1\], got inf"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        SelectionModel.from_relative_rate(0.5, np.array([2.0, rate]), 1.0)
+    # Just above the rounding, the scale is positive and the f0 it gives is out of range.
+    with pytest.raises(ValueError, match="f0 must lie in"):
+        SelectionModel.from_relative_rate(0.5, 1e-15, 1.0)
+
+
 @pytest.mark.parametrize("prev", [math.nan, -0.1, 1.5, math.inf, -math.inf])
 def test_selection_from_relative_rate_rejects_prevalence_outside_unit_interval(prev):
     with pytest.raises(ValueError, match=f"prevalence must lie in \\[0, 1\\], got {prev}"):
@@ -196,6 +213,34 @@ def test_realize_equals_rate_array_reference(rates, meas, form):
         fresh = np.random.default_rng(2024)
         fresh.random(2 * pop.size)
         assert seed.random() == fresh.random()
+
+
+@pytest.mark.parametrize("form", ["int", "seed-sequence"])
+def test_realize_draws_no_flip_uniforms_under_a_perfect_test_with_a_private_seed(
+    monkeypatch, form
+):
+    # The realization equals the two-draw reference (above); here the generator
+    # realize made has advanced by the N selection uniforms only.
+    pop = make_population(500, 0.3, seed=4)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(
+        default_rng(seed)) or made[-1])
+    realize(pop, SelectionModel(0.02, 0.05), PERFECT_TEST, SEED_FORMS[form]())
+    (rng,) = made
+    fresh = default_rng(SEED_FORMS[form]())
+    fresh.random(pop.size)
+    assert rng.random() == fresh.random()
+
+
+def test_realize_draws_both_uniform_vectors_from_a_callers_bit_generator():
+    pop = make_population(500, 0.3, seed=4)
+    sel = SelectionModel(0.02, 0.05)
+    bit_generator = np.random.PCG64(2024)
+    assert_realize_matches_reference(pop, sel, PERFECT_TEST, bit_generator, 2024)
+    fresh = np.random.default_rng(2024)
+    fresh.random(2 * pop.size)
+    assert np.random.Generator(bit_generator).random() == fresh.random()
 
 
 @st.composite
