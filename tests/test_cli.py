@@ -54,8 +54,13 @@ def test_neff_fp_without_fn(tmp_path):
     assert run(tmp_path, "neff", "--f", "0.026", "--fp", "0.005") == 1
 
 
-def test_neff_equal_rates_exit_2(tmp_path):
+def test_neff_equal_rates_exit_2(tmp_path, capsys):
+    # The table is written before the all-infinite check, so it stays on exit 2.
     assert run(tmp_path, "neff", "--f", "0.026", "--m-grid", "1") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["neff_table.csv"]
+    assert capsys.readouterr().err == (
+        "infeasible: every cell is infinite (equal-probability design)\n"
+    )
 
 
 def test_sensitivity_direct(tmp_path):
@@ -77,7 +82,7 @@ def test_sensitivity_direct(tmp_path):
     assert set(payload) == {"inputs", "outputs", "flags"}
 
 
-def test_sensitivity_infeasible_exit_2(tmp_path):
+def test_sensitivity_infeasible_exit_2(tmp_path, capsys):
     # A small anchor cannot produce a large negative error; no differential fits.
     assert (
         run(
@@ -91,6 +96,10 @@ def test_sensitivity_infeasible_exit_2(tmp_path):
             "--fn", "0.172",
         )
         == 2
+    )
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == (
+        "infeasible: no feasible differential: target -0.0711322 outside [-0.0085485, 0.160381]\n"
     )
 
 
@@ -230,9 +239,13 @@ def test_decompose_rejects_ybar_outside_unit_interval(tmp_path, capsys, value, e
 
 
 @pytest.mark.parametrize("value", ["0", "1"])
-def test_decompose_empirical_constant_population_is_infeasible(tmp_path, value):
+def test_decompose_empirical_constant_population_is_infeasible(tmp_path, capsys, value):
     argv = [*DECOMPOSE_ARGS, "--ybar", value, "--empirical", "true", "--seed", "1"]
     assert run(tmp_path, *argv, "--size", "1000") == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == (
+        "infeasible: population outcomes are constant, rho undefined\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -359,28 +372,29 @@ def test_allocation_failure_is_an_error_line(tmp_path, capsys, monkeypatch, argv
 
 
 STRATA = "stratum_id,share,prevalence\na,0.8,0.01\nb,0.2,0.25\n"
-# A scenario each command runs to exit 0, and the file it writes; "{tmp}" is the
-# test's directory, where allocate's strata file is written.
+# A scenario each command runs to exit 0, and the files it writes, in write order;
+# "{tmp}" is the test's directory, where allocate's strata file is written.
 DOMAIN_BASE = {
-    "decompose": ({"ybar": "0.091", "f": "0.026", "m": "2"}, "decomposition.json"),
-    "neff": ({"f": "0.026"}, "neff_table.csv"),
-    "sir": ({"beta": "1.4", "gamma-rec": "0.2", "horizon": "20"}, "trajectory.csv"),
-    "bias-curves": ({"horizon": "20"}, "bias_curves.csv"),
-    "rt-gap": ({"horizon": "20"}, "rt_gap.csv"),
+    "decompose": ({"ybar": "0.091", "f": "0.026", "m": "2"}, ["decomposition.json"]),
+    "neff": ({"f": "0.026"}, ["neff_table.csv"]),
+    "sir": ({"beta": "1.4", "gamma-rec": "0.2", "horizon": "20"}, ["trajectory.csv"]),
+    "bias-curves": ({"horizon": "20"}, ["bias_curves.csv"]),
+    "rt-gap": ({"horizon": "20"}, ["rt_gap.csv"]),
     "sensitivity": (
         {"f": "0.001", "fp": "0.005", "fn": "0.172", "observed-prev": "0.325",
          "survey-prev": "0.159"},
-        "sensitivity.json",
+        ["sensitivity.json"],
     ),
     "compare": (
         {"n1": "328e6", "n2": "38e6", "f1": "0.023", "f2": "0.023", "ybar1": "0.1",
          "ybar2": "0.1", "neff1": "15", "neff2": "15"},
-        "compare.json",
+        ["compare.json"],
     ),
     "allocate": (
-        {"strata": "{tmp}/strata.csv", "n": "1000", "population": "1e6"}, "allocation.csv"
+        {"strata": "{tmp}/strata.csv", "n": "1000", "population": "1e6"},
+        ["allocation.csv", "allocation.json"],
     ),
-    "mc-verify": ({"seed": "1", "reps": "10", "size": "1000"}, "mc_verify.json"),
+    "mc-verify": ({"seed": "1", "reps": "10", "size": "1000"}, ["mc_verify.json"]),
 }
 # One value outside each declared domain; a name shared by commands is outside all of them.
 OUT_OF_DOMAIN = {
@@ -432,18 +446,20 @@ def test_every_numeric_option_has_a_domain_or_is_listed():
 
 
 @pytest.mark.parametrize("command", sorted(DOMAIN_BASE))
-def test_domain_base_scenarios_run(tmp_path, command):
+def test_domain_base_scenarios_run(tmp_path, capsys, command):
+    # stdout is the written paths in write order, and --out holds those files only.
     argv = _base_argv(tmp_path, command)
-    filename = DOMAIN_BASE[command][1]
-    assert run(tmp_path, command, *argv) == 0
-    assert (tmp_path / filename).exists()
+    out = tmp_path / "out"
+    assert run(out, command, *argv) == 0
+    names = DOMAIN_BASE[command][1]
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command, opt", DOMAIN_OPTS, ids=_domain_ids(DOMAIN_OPTS))
 def test_declared_domain_is_checked(tmp_path, capsys, command, opt, source):
     # The base scenario runs to exit 0 without this one out-of-domain value.
-    filename = DOMAIN_BASE[command][1]
     bad = OUT_OF_DOMAIN[opt.name]
     argv = _base_argv(tmp_path, command, skip=opt.name)
     if source == "flag":
@@ -454,7 +470,7 @@ def test_declared_domain_is_checked(tmp_path, capsys, command, opt, source):
         argv += ["--config", str(config)]
     out = tmp_path / "out"
     assert run(out, command, *argv) == 1
-    assert not (out / filename).exists()
+    assert not out.exists()
     assert f"--{opt.name} must" in capsys.readouterr().err
 
 
@@ -756,10 +772,10 @@ def test_compare_with_zero_pooled_variance_is_infeasible(tmp_path, capsys, ybar)
     argv = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
             "--ybar1", ybar, "--ybar2", ybar]
     assert run(tmp_path, *argv) == 2
-    assert not (tmp_path / "compare.json").exists()
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: zero pooled variance")
-    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == (
+        "infeasible: zero pooled variance: the Z-score is undefined\n"
+    )
 
 
 @pytest.mark.parametrize(
