@@ -283,27 +283,14 @@ def _round6(value):
     return value
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
-    print(path)
+@dataclass(frozen=True)
+class _Run:
+    """What a command computed: its files in write order (name -> CSV text, or
+    name -> outputs of a JSON file), its exit code, and why it is infeasible."""
 
-
-def _flags(caught: list) -> list:
-    return [str(w.message) for w in caught]
-
-
-def _write_json(path: Path, inputs: dict, outputs: dict, flags: list) -> None:
-    # out/config describe where the run happened, not what it computed; keep
-    # the payload byte-identical across working directories.
-    inputs = {k: v for k, v in inputs.items() if k not in ("out", "config")}
-    payload = {
-        "inputs": _round6(inputs),
-        "outputs": _round6(outputs),
-        "flags": sorted(str(f) for f in flags),
-    }
-    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    files: dict
+    code: int = 0
+    infeasible: Optional[str] = None
 
 
 def _named(flags: str, call: Callable, *args, **kwargs):
@@ -323,9 +310,8 @@ def _selection(opts: dict, prevalence: float) -> SelectionModel:
                   opts["f"], opts["m"], prevalence)
 
 
-def _cmd_decompose(opts: dict, caught: list) -> int:
+def _cmd_decompose(opts: dict) -> _Run:
     meas = _meas(opts)
-    out = Path(opts["out"])
     if opts["empirical"]:
         if opts["seed"] is None:
             raise _CliError("--seed is required with --empirical")
@@ -368,11 +354,10 @@ def _cmd_decompose(opts: dict, caught: list) -> int:
             "rho_ipz": rho_ipz,
             "d_m": d_m(sel, meas, opts["ybar"]),
         }
-    _write_json(out / "decomposition.json", opts, outputs, _flags(caught))
-    return 0
+    return _Run({"decomposition.json": outputs})
 
 
-def _cmd_neff(opts: dict, caught: list) -> int:
+def _cmd_neff(opts: dict) -> _Run:
     meas = None
     if (opts["fp"] is None) != (opts["fn"] is None):
         raise _CliError("--fp and --fn must be given together")
@@ -380,13 +365,10 @@ def _cmd_neff(opts: dict, caught: list) -> int:
         meas = _meas(opts)
     table = _named("--f/--m-grid/--ybar-grid", neff_table,
                    opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
-    _write(
-        Path(opts["out"]) / "neff_table.csv",
-        format_neff_table(table, opts["ybar_grid"], opts["m_grid"]),
-    )
+    files = {"neff_table.csv": format_neff_table(table, opts["ybar_grid"], opts["m_grid"])}
     if np.isinf(table).all():
-        raise InfeasibleScenarioError("every cell is infinite (equal-probability design)")
-    return 0
+        return _Run(files, infeasible="every cell is infinite (equal-probability design)")
+    return _Run(files)
 
 
 def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
@@ -404,13 +386,11 @@ def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
     )
 
 
-def _cmd_sir(opts: dict, caught: list) -> int:
-    traj = sir_simulate(_sir_params(opts))
-    _write(Path(opts["out"]) / "trajectory.csv", trajectory_csv(traj))
-    return 0
+def _cmd_sir(opts: dict) -> _Run:
+    return _Run({"trajectory.csv": trajectory_csv(sir_simulate(_sir_params(opts)))})
 
 
-def _cmd_bias_curves(opts: dict, caught: list) -> int:
+def _cmd_bias_curves(opts: dict) -> _Run:
     traj = sir_simulate(_sir_params(opts))
     curves = _named(
         "--f/--m-grid",
@@ -423,13 +403,13 @@ def _cmd_bias_curves(opts: dict, caught: list) -> int:
         driver=opts["driver"],
         exact_susceptible=opts["exact_susceptible"],
     )
-    _write(Path(opts["out"]) / "bias_curves.csv", bias_curves_csv(curves))
+    files = {"bias_curves.csv": bias_curves_csv(curves)}
     if np.isnan(curves.ratio_bias[:, 1:]).all() and np.isnan(curves.rt_bias[:, 1:]).all():
-        raise InfeasibleScenarioError("every step flagged")
-    return 0
+        return _Run(files, infeasible="every step flagged")
+    return _Run(files)
 
 
-def _cmd_rt_gap(opts: dict, caught: list) -> int:
+def _cmd_rt_gap(opts: dict) -> _Run:
     traj_a = sir_simulate(_sir_params(opts, "beta_a"))
     traj_b = sir_simulate(_sir_params(opts, "beta_b"))
     gap = _named(
@@ -442,13 +422,13 @@ def _cmd_rt_gap(opts: dict, caught: list) -> int:
         rel_rate=opts["m"],
         serial_interval=opts["serial_interval"],
     )
-    _write(Path(opts["out"]) / "rt_gap.csv", rt_gap_csv(gap))
+    files = {"rt_gap.csv": rt_gap_csv(gap)}
     if len(gap.flagged) >= gap.steps.size - 1:
-        raise InfeasibleScenarioError("every step flagged")
-    return 0
+        return _Run(files, infeasible="every step flagged")
+    return _Run(files)
 
 
-def _cmd_sensitivity(opts: dict, caught: list) -> int:
+def _cmd_sensitivity(opts: dict) -> _Run:
     meas = _meas(opts)
     observed = opts["observed_prev"]
     if opts["series"] is not None:
@@ -502,11 +482,10 @@ def _cmd_sensitivity(opts: dict, caught: list) -> int:
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
     }
-    _write_json(Path(opts["out"]) / "sensitivity.json", opts, outputs, _flags(caught))
-    return 0
+    return _Run({"sensitivity.json": outputs})
 
 
-def _cmd_compare(opts: dict, caught: list) -> int:
+def _cmd_compare(opts: dict) -> _Run:
     def summary(i: str) -> PopulationSummary:
         ybar = opts[f"ybar{i}"]
         return PopulationSummary(
@@ -546,11 +525,10 @@ def _cmd_compare(opts: dict, caught: list) -> int:
             0.5 * (a.f + b.f),
             math.sqrt(pooled_ybar * (1.0 - pooled_ybar)),
         )
-    _write_json(Path(opts["out"]) / "compare.json", opts, outputs, _flags(caught))
-    return 0
+    return _Run({"compare.json": outputs})
 
 
-def _cmd_allocate(opts: dict, caught: list) -> int:
+def _cmd_allocate(opts: dict) -> _Run:
     strata = _read("strata", strata_from_csv, opts["strata"])
     alloc = neyman_allocation(strata, opts["n"])
     prop = proportional_allocation(strata, opts["n"])
@@ -567,13 +545,10 @@ def _cmd_allocate(opts: dict, caught: list) -> int:
         outputs["srs_variance"] = _named(
             "--n/--population", srs_variance, pooled, opts["n"], opts["population"])
     outputs["srs_variance_wr"] = srs_variance(pooled, opts["n"], 0, fpc=False)
-    out = Path(opts["out"])
-    _write(out / "allocation.csv", "\n".join(lines) + "\n")
-    _write_json(out / "allocation.json", opts, outputs, _flags(caught))
-    return 0
+    return _Run({"allocation.csv": "\n".join(lines) + "\n", "allocation.json": outputs})
 
 
-def _cmd_mc_verify(opts: dict, caught: list) -> int:
+def _cmd_mc_verify(opts: dict) -> _Run:
     pop = make_population(opts["size"], opts["prevalence"], seed=opts["seed"])
     srs = SelectionModel(f0=opts["f0"], f1=opts["f0"])
     sel = SelectionModel(f0=opts["f0"], f1=opts["f1"])
@@ -600,13 +575,8 @@ def _cmd_mc_verify(opts: dict, caught: list) -> int:
     }
 
     all_passed = all(c["passed"] for c in checks.values())
-    _write_json(
-        Path(opts["out"]) / "mc_verify.json",
-        opts,
-        {"checks": checks, "all_passed": all_passed},
-        _flags(caught),
-    )
-    return 0 if all_passed else 2
+    return _Run({"mc_verify.json": {"checks": checks, "all_passed": all_passed}},
+                0 if all_passed else 2)
 
 
 _COMMANDS = {
@@ -652,14 +622,29 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _CliError("a subcommand is required (see --help)")
-        table = _OPTION_TABLES[args.command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            opts = _resolve(args, table)
-            code = _COMMANDS[args.command](opts, caught)
-            for flag in _flags(caught):
-                print(f"flag: {flag}", file=sys.stderr)
-        return code
+            opts = _resolve(args, _OPTION_TABLES[args.command])
+            run = _COMMANDS[args.command](opts)
+        flags = [str(w.message) for w in caught]
+        for name, content in run.files.items():
+            if isinstance(content, dict):
+                # out/config describe where the run happened, not what it computed;
+                # keep the payload byte-identical across working directories.
+                inputs = {k: v for k, v in opts.items() if k not in ("out", "config")}
+                payload = {"inputs": _round6(inputs), "outputs": _round6(content),
+                           "flags": sorted(flags)}
+                content = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            path = Path(opts["out"]) / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", newline="\n") as handle:
+                handle.write(content)
+            print(path)
+        if run.infeasible:
+            raise InfeasibleScenarioError(run.infeasible)
+        for flag in flags:
+            print(f"flag: {flag}", file=sys.stderr)
+        return run.code
     except ValueError as exc:  # _CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
