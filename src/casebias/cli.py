@@ -636,9 +636,11 @@ def main(argv: Optional[list] = None) -> int:
                            "flags": sorted(flags)}
                 content = json.dumps(payload, sort_keys=True, indent=2) + "\n"
             path = Path(opts["out"]) / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", newline="\n") as handle:
-                handle.write(content)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(content, newline="\n")
+            except OSError as exc:
+                raise _CliError(f"--out: cannot write {opts['out']!r}: {exc.strerror}") from None
             print(path)
         if run.infeasible:
             raise InfeasibleScenarioError(run.infeasible)

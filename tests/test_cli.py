@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -704,6 +705,20 @@ def test_missing_input_file_names_the_flag(tmp_path, capsys, argv, filename):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[-1]}: cannot read {str(missing)!r}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", ["", "/x"], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [["sir", "--beta", "1", "--gamma-rec", "0.2", "--horizon", "5"],
+                                  DECOMPOSE_ARGS], ids=["csv", "json"])
+def test_unwritable_out_names_the_flag(tmp_path, capsys, argv, under):
+    # --out is a regular file, or a path below one: the write fails, the run does not.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = f"{afile}{under}"
+    assert main([*argv, "--out", out]) == 1
+    reason = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
+    assert capsys.readouterr() == ("", f"error: --out: cannot write {out!r}: {reason}\n")
+    assert afile.read_text() == ""
 
 
 def test_no_subcommand_is_validation_error():
