@@ -286,7 +286,8 @@ def _round6(value):
 @dataclass(frozen=True)
 class _Run:
     """What a command computed: its files in write order (name -> CSV text, or
-    name -> outputs of a JSON file), its exit code, and why it is infeasible."""
+    name -> outputs of a JSON file), its exit code, and why it is infeasible, if
+    it is; an infeasible run exits 2 and still writes the files it holds."""
 
     files: dict
     code: int = 0
@@ -625,7 +626,10 @@ def main(argv: Optional[list] = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             opts = _resolve(args, _OPTION_TABLES[args.command])
-            run = _COMMANDS[args.command](opts)
+            try:
+                run = _COMMANDS[args.command](opts)
+            except (InfeasibleScenarioError, DegenerateSampleError) as exc:
+                run = _Run({}, infeasible=str(exc))
         flags = [str(w.message) for w in caught]
         for name, content in run.files.items():
             if isinstance(content, dict):
@@ -642,20 +646,17 @@ def main(argv: Optional[list] = None) -> int:
             except OSError as exc:
                 raise _CliError(f"--out: cannot write {opts['out']!r}: {exc.strerror}") from None
             print(path)
-        if run.infeasible:
-            raise InfeasibleScenarioError(run.infeasible)
         for flag in flags:
             print(f"flag: {flag}", file=sys.stderr)
-        return run.code
+        if run.infeasible:
+            print(f"infeasible: {run.infeasible}", file=sys.stderr)
+        return 2 if run.infeasible else run.code
     except ValueError as exc:  # _CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
-    except (InfeasibleScenarioError, DegenerateSampleError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

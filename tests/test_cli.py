@@ -56,11 +56,28 @@ def test_neff_fp_without_fn(tmp_path):
 
 
 def test_neff_equal_rates_exit_2(tmp_path, capsys):
-    # The table is written before the all-infinite check, so it stays on exit 2.
+    # The table is kept on exit 2, and the warning recorded on the way is still a flag line.
     assert run(tmp_path, "neff", "--f", "0.026", "--m-grid", "1") == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["neff_table.csv"]
     assert capsys.readouterr().err == (
+        "flag: neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability sampling) or so "
+        "small that the bound exceeds a double\n"
         "infeasible: every cell is infinite (equal-probability design)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, filename, flags",
+    [(["bias-curves", "--i0", "0", "--horizon", "5"], "bias_curves.csv",
+      "flag: 4 steps flagged (zero shares or log-domain failures)\n"),
+     (["rt-gap", "--horizon", "1"], "rt_gap.csv", "")],
+    ids=["bias-curves", "rt-gap"],
+)
+def test_every_step_flagged_keeps_the_csv_and_exits_2(tmp_path, capsys, argv, filename, flags):
+    assert run(tmp_path, *argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
+    assert capsys.readouterr() == (
+        f"{tmp_path / filename}\n", f"{flags}infeasible: every step flagged\n"
     )
 
 
@@ -560,9 +577,10 @@ def test_sensitivity_corner_that_empties_the_survey_is_infeasible(tmp_path, caps
             "--observed-prev", "0.1", "--fp-range", "0.01,0.1", "--fn-range", "0,0.1"]
     assert run(tmp_path, *argv) == 2
     assert not (tmp_path / "sensitivity.json").exists()
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: the corner fp = 0.1")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (
+        "flag: corrected prevalence -0.0405405 outside [0, 1]; clamping\n"
+        "infeasible: the corner fp = 0.1, fn = 0 corrects the survey share to 0, outside (0, 1)\n"
+    )
 
 
 @pytest.mark.parametrize(
