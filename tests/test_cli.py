@@ -729,7 +729,7 @@ def test_missing_input_file_names_the_flag(tmp_path, capsys, argv, filename):
 @pytest.mark.parametrize("argv", [["sir", "--beta", "1", "--gamma-rec", "0.2", "--horizon", "5"],
                                   DECOMPOSE_ARGS], ids=["csv", "json"])
 def test_unwritable_out_names_the_flag(tmp_path, capsys, argv, under):
-    # --out is a regular file, or a path below one: the write fails, the run does not.
+    # --out is a regular file, or a path below one: one error line naming --out, no traceback.
     afile = tmp_path / "afile"
     afile.write_text("")
     out = f"{afile}{under}"
