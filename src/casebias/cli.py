@@ -264,23 +264,30 @@ def _resolve(args: argparse.Namespace, table: list) -> dict:
     return resolved
 
 
-def _round6(value):
-    """Round floats to 6 significant digits recursively for stable output."""
+def _round6(value, key: str = ""):
+    """Round floats to 6 significant digits recursively for stable output; a NaN
+    or infinite float is infeasible, named by its dotted ``key``."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+        if not math.isfinite(value):
+            raise InfeasibleScenarioError(f"{key} is {value}")
         return float(f"{value:.6g}")
     if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
+        return {k: _round6(v, f"{key}.{k}" if key else k) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round6(v) for v in value]
+        return [_round6(v, key) for v in value]
     if isinstance(value, (np.floating,)):
-        return _round6(float(value))
+        return _round6(float(value), key)
     if isinstance(value, (np.integer,)):
         return int(value)
     return value
+
+
+def _text(content, inputs: dict, flags: list) -> str:
+    """A file's text: CSV text as it is, JSON outputs wrapped as {inputs, outputs, flags}."""
+    if isinstance(content, str):
+        return content
+    payload = {"inputs": _round6(inputs), "outputs": _round6(content), "flags": sorted(flags)}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -320,11 +327,7 @@ def _cmd_decompose(opts: dict) -> _Run:
         sel = _selection(opts, pop.prevalence)
         stats = empirical_stats(pop, realize(pop, sel, meas, seed=opts["seed"] + 1))
         dec = decompose_realization(pop, stats)
-        outputs = {
-            "data_quality_term": dec.data_quality_term,
-            "interaction_term": dec.interaction_term,
-            "bias_term": dec.bias_term,
-            "total_error": dec.total_error,
+        extra = {
             "observed_minus_true": stats.ybar_star - pop.prevalence,
             "identity_residual": dec.total_error - (stats.ybar_star - pop.prevalence),
             "f_hat": stats.f_hat,
@@ -346,15 +349,14 @@ def _cmd_decompose(opts: dict) -> _Run:
             fp=meas.fp,
             fn=meas.fn,
         )
-        outputs = {
-            "data_quality_term": dec.data_quality_term,
-            "interaction_term": dec.interaction_term,
-            "bias_term": dec.bias_term,
-            "total_error": dec.total_error,
-            "rho_iy": rho,
-            "rho_ipz": rho_ipz,
-            "d_m": d_m(sel, meas, opts["ybar"]),
-        }
+        extra = {"rho_iy": rho, "rho_ipz": rho_ipz, "d_m": d_m(sel, meas, opts["ybar"])}
+    outputs = {
+        "data_quality_term": dec.data_quality_term,
+        "interaction_term": dec.interaction_term,
+        "bias_term": dec.bias_term,
+        "total_error": dec.total_error,
+        **extra,
+    }
     return _Run({"decomposition.json": outputs})
 
 
@@ -429,6 +431,17 @@ def _cmd_rt_gap(opts: dict) -> _Run:
     return _Run(files)
 
 
+def _corrected(flags: str, share: float, meas: MeasurementModel) -> float:
+    """``share`` corrected for ``meas``.  A non-finite share is an error naming
+    ``flags``; a corrected share outside (0, 1) leaves no prevalence to anchor
+    on, and is infeasible, naming ``flags`` and --fp/--fn."""
+    value = _named(flags, corrected_prevalence, share, meas)
+    if not OPEN_UNIT.test(value):
+        raise InfeasibleScenarioError(
+            f"{flags}/--fp/--fn: the share {share:g} corrects to {value:g}, outside (0, 1)")
+    return value
+
+
 def _cmd_sensitivity(opts: dict) -> _Run:
     meas = _meas(opts)
     observed = opts["observed_prev"]
@@ -445,14 +458,14 @@ def _cmd_sensitivity(opts: dict) -> _Run:
             idx = series.dates.index(anchor_day)
         except ValueError:
             raise _CliError(f"--date {opts['date']} not present in --series") from None
-        observed = corrected_prevalence(float(smooth[idx]), meas)
+        observed = _corrected("--series/--date", float(smooth[idx]), meas)
     if observed is None:
         raise _CliError("give --observed-prev or --series with --date")
     survey = opts["survey_prev"]
     if survey is None:
         if opts["survey_raw"] is None:
             raise _CliError("give --survey-prev or --survey-raw")
-        survey = corrected_prevalence(opts["survey_raw"], meas)
+        survey = _corrected("--survey-raw", opts["survey_raw"], meas)
     meas_ranges = None
     if (opts["fp_range"] is None) != (opts["fn_range"] is None):
         raise _CliError("--fp-range and --fn-range must be given together")
@@ -631,14 +644,14 @@ def main(argv: Optional[list] = None) -> int:
             except (InfeasibleScenarioError, DegenerateSampleError) as exc:
                 run = _Run({}, infeasible=str(exc))
         flags = [str(w.message) for w in caught]
-        for name, content in run.files.items():
-            if isinstance(content, dict):
-                # out/config describe where the run happened, not what it computed;
-                # keep the payload byte-identical across working directories.
-                inputs = {k: v for k, v in opts.items() if k not in ("out", "config")}
-                payload = {"inputs": _round6(inputs), "outputs": _round6(content),
-                           "flags": sorted(flags)}
-                content = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # out/config describe where the run happened, not what it computed;
+        # keep the payload byte-identical across working directories.
+        inputs = {k: v for k, v in opts.items() if k not in ("out", "config")}
+        try:  # render every file before writing any
+            texts = {name: _text(content, inputs, flags) for name, content in run.files.items()}
+        except InfeasibleScenarioError as exc:
+            texts, run = {}, _Run({}, infeasible=str(exc))
+        for name, content in texts.items():
             path = Path(opts["out"]) / name
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)

@@ -223,10 +223,10 @@ class RtGap:
         return self.est_a - self.est_b
 
 
-def _first_case_step(traj: SirTrajectory) -> int:
+def _first_case_step(traj: SirTrajectory, country: str) -> int:
     pos = np.nonzero(traj.new_cases > 0.0)[0]
     if pos.size == 0:
-        raise ValueError("trajectory has no cases")
+        raise InfeasibleScenarioError(f"country {country}'s trajectory has no cases")
     return int(pos[0])
 
 
@@ -245,9 +245,10 @@ def rt_gap(
     estimated value adds its own log-scale error, driven by its own new-case
     fraction; by construction est_gap - true_gap equals
     (1/serial) * log((1+e_A)/(1+e_B)).  ``flagged`` lists the NaN steps of
-    either estimate; flagged steps after step 0 raise one warning.
+    either estimate; flagged steps after step 0 raise one warning.  A country
+    with no cases has no step to align on and raises InfeasibleScenarioError.
     """
-    offsets = (_first_case_step(traj_a), _first_case_step(traj_b))
+    offsets = (_first_case_step(traj_a, "A"), _first_case_step(traj_b, "B"))
     n_steps = min(traj_a.new_cases.size - offsets[0], traj_b.new_cases.size - offsets[1])
 
     true_vals, est = [], []

@@ -296,6 +296,19 @@ def _below(u: np.ndarray, pos: np.ndarray, rate_pos: float, rate_neg: float) -> 
     return below
 
 
+def _draw(rng, u: np.ndarray, pos: np.ndarray, sel, meas, private: bool) -> tuple:
+    """``(selected, flipped)`` from the N selection uniforms, then the N flip
+    uniforms, both drawn into the buffer ``u``.  Under a perfect test no flip
+    can occur, so a ``private`` generator skips the flip uniforms and
+    ``flipped`` is None."""
+    rng.random(out=u)
+    selected = _below(u, pos, sel.f1, sel.f0)
+    if meas.is_perfect and private:
+        return selected, None
+    rng.random(out=u)
+    return selected, _below(u, pos, meas.fn, meas.fp)
+
+
 def realize(
     pop: FinitePopulation,
     sel: SelectionModel,
@@ -313,16 +326,15 @@ def realize(
     (any seed but a ``Generator`` or bit generator) the N flip uniforms are
     not drawn.  The rates are scalars.
     """
+    private = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     rng = np.random.default_rng(seed)
-    pos = pop.positive
-    u = rng.random(pop.size)
-    selected = _below(u, pos, sel.f1, sel.f0)
-    if meas.is_perfect and not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+    # Held to the return: freed as _draw returns, its pages go back to the OS
+    # and fault in again on every call (~180x the minor page faults at N = 10^5).
+    u = np.empty(pop.size)
+    selected, flipped = _draw(rng, u, pop.positive, sel, meas, private)
+    if flipped is None:
         flipped = np.zeros(pop.size, dtype=bool)
-    else:
-        rng.random(out=u)
-        flipped = _below(u, pos, meas.fn, meas.fp)
-    observed = (pos ^ flipped).view(np.int8)
+    observed = (pop.positive ^ flipped).view(np.int8)
     return Realization(selected=selected, flipped=flipped, observed=observed)
 
 
@@ -567,12 +579,12 @@ def mc_expectation_reference(
 def _realized_counts(pop, sel, meas, replications: int, seed: SeedLike) -> np.ndarray:
     """``joint_counts(pop, realize(pop, sel, meas, child))`` per child seed, replayed as counts.
 
-    Each child's stream is drawn as ``realize`` draws it, into one buffer kept
-    across replications, and only its cells are kept.  Under a perfect test no
-    flip can occur, so the N flip uniforms are not drawn: the child generator
-    is private to its replication, so no later draw moves.  The children's
-    seeds come from ``_child_seed_words``; a caller's ``SeedSequence`` is still
-    spawned from, so it advances by ``replications`` children as before.
+    Each child's stream is drawn by ``realize``'s ``_draw``, into one buffer
+    kept across replications, and only its cells are kept; each child generator
+    is private to its replication, so skipping the flips moves no later draw.
+    The children's seeds come from ``_child_seed_words``; a caller's
+    ``SeedSequence`` is still spawned from, so it advances by ``replications``
+    children as before.
     """
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2**63))
@@ -580,18 +592,11 @@ def _realized_counts(pop, sel, meas, replications: int, seed: SeedLike) -> np.nd
     words = _child_seed_words(master, replications)
     if master is seed:  # a caller's SeedSequence advances past the children it gave
         seed.spawn(replications)
-    pos = pop.positive
     u = np.empty(pop.size)
     rows = []
     for child in words:
         rng = np.random.Generator(np.random.PCG64(_Words(child)))
-        rng.random(out=u)
-        selected = _below(u, pos, sel.f1, sel.f0)
-        flipped = None
-        if not meas.is_perfect:
-            rng.random(out=u)
-            flipped = _below(u, pos, meas.fn, meas.fp)
-        rows.append(_cells(pop, selected, flipped))
+        rows.append(_cells(pop, *_draw(rng, u, pop.positive, sel, meas, private=True)))
     return np.array(rows)
 
 

@@ -3,6 +3,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from casebias import _domain, cli
+from casebias import InfeasibleScenarioError, _domain, cli
 from casebias.cli import _OPTION_TABLES, _build_parser, _parse_floats, _resolve, main
 
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
@@ -81,6 +82,13 @@ def test_every_step_flagged_keeps_the_csv_and_exits_2(tmp_path, capsys, argv, fi
     )
 
 
+def test_rt_gap_without_cases_is_infeasible_and_writes_nothing(tmp_path, capsys):
+    # No first case, so no aligned step to tabulate: unlike bias-curves, no CSV is kept.
+    assert run(tmp_path, "rt-gap", "--i0", "0", "--horizon", "5") == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr() == ("", "infeasible: country A's trajectory has no cases\n")
+
+
 def test_sensitivity_direct(tmp_path):
     assert (
         run(
@@ -100,25 +108,39 @@ def test_sensitivity_direct(tmp_path):
     assert set(payload) == {"inputs", "outputs", "flags"}
 
 
-def test_sensitivity_infeasible_exit_2(tmp_path, capsys):
-    # A small anchor cannot produce a large negative error; no differential fits.
-    assert (
-        run(
-            tmp_path,
-            "sensitivity",
-            "--survey-prev", "0.5",
-            "--observed-prev", "0.01",
-            "--ybar-anchor", "0.05",
-            "--f", "0.001",
-            "--fp", "0.005",
-            "--fn", "0.172",
-        )
-        == 2
-    )
-    assert not any(tmp_path.iterdir())
-    assert capsys.readouterr().err == (
-        "infeasible: no feasible differential: target -0.0711322 outside [-0.0085485, 0.160381]\n"
-    )
+def _sensitivity(tmp_path, series, *argv):
+    """Run ``sensitivity`` into ``tmp_path / "out"``, from a --series file holding ``series``
+    rows when it is given."""
+    if series is not None:
+        (tmp_path / "cases.csv").write_text("date,total_tests,positive_tests\n" + series)
+        argv = ("--series", str(tmp_path / "cases.csv"), *argv)
+    return run(tmp_path / "out", "sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172",
+               *argv)
+
+
+@pytest.mark.parametrize(
+    "series, argv, err",
+    [
+        # A small anchor cannot produce a large negative error; no differential fits.
+        (None, ["--survey-prev", "0.5", "--observed-prev", "0.01", "--ybar-anchor", "0.05"],
+         "infeasible: no feasible differential: target -0.0711322 outside [-0.0085485, 0.160381]\n"),
+        # A share derived from --survey-raw or --series is checked after its correction.
+        (None, ["--survey-raw", "0.004", "--observed-prev", "0.325"],
+         "flag: corrected prevalence -0.000292 outside [0, 1]; clamping\n"
+         "infeasible: --survey-raw/--fp/--fn: the share 0.004 corrects to 0, outside (0, 1)\n"),
+        (None, ["--survey-raw", "0", "--observed-prev", "0.325", "--fp", "0", "--fn", "0"],
+         "infeasible: --survey-raw/--fp/--fn: the share 0 corrects to 0, outside (0, 1)\n"),
+        ("2020-04-18,10,0\n2020-04-19,100,0\n", ["--survey-prev", "0.05", "--date", "2020-04-19"],
+         "flag: corrected prevalence -0.005 outside [0, 1]; clamping\n"
+         "infeasible: --series/--date/--fp/--fn: the share 0 corrects to 0, outside (0, 1)\n"),
+    ],
+    ids=["no-feasible-differential", "survey-raw-clamped", "survey-raw-zero",
+         "series-no-positives"],
+)
+def test_sensitivity_infeasible_exit_2(tmp_path, capsys, series, argv, err):
+    assert _sensitivity(tmp_path, series, *argv) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr() == ("", err)
 
 
 def test_sensitivity_series_mode(tmp_path):
@@ -145,21 +167,22 @@ def test_sensitivity_series_mode(tmp_path):
     assert payload["outputs"]["m"] > 1.0
 
 
-def test_sensitivity_series_requires_date(tmp_path):
-    series = tmp_path / "cases.csv"
-    series.write_text("date,total_tests,positive_tests\n2020-04-18,10,1\n")
-    assert (
-        run(
-            tmp_path,
-            "sensitivity",
-            "--series", str(series),
-            "--survey-raw", "0.139",
-            "--f", "0.001",
-            "--fp", "0.005",
-            "--fn", "0.172",
-        )
-        == 1
-    )
+@pytest.mark.parametrize(
+    "series, date, err",
+    [
+        ("2020-04-18,10,1\n", [], "error: --date is required with --series\n"),
+        # A day with no tests has no positive share, and smoothing carries it forward.
+        ("2020-04-18,0,0\n2020-04-19,100,5\n", ["--date", "2020-04-18"],
+         "error: --series/--date: observed prevalence must be finite, got nan\n"),
+        ("2020-04-18,0,0\n2020-04-19,100,5\n", ["--date", "2020-04-19"],
+         "error: --series/--date: observed prevalence must be finite, got nan\n"),
+    ],
+    ids=["no-date", "no-tests-on-date", "no-tests-before-date"],
+)
+def test_sensitivity_series_requires_date(tmp_path, capsys, series, date, err):
+    assert _sensitivity(tmp_path, series, "--survey-raw", "0.139", *date) == 1
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr() == ("", err)
 
 
 def test_mc_verify_zero_reps_is_validation_error(tmp_path):
@@ -798,6 +821,21 @@ def test_compare_size_factors_stay_finite_at_the_largest_sizes(tmp_path, n1, n2,
     assert outputs["population_adjustment"] == adjustment
     threshold = outputs["delta_diff_threshold"]
     assert isinstance(threshold, float) and 0.0 < threshold < 1.0
+
+
+def test_compare_non_finite_output_is_infeasible_and_writes_nothing(tmp_path, capsys):
+    # Each n * sigma * rho * q * D product overflows to +-inf, and inf - inf is NaN.
+    argv = ["compare", "--n1", "1.7e308", "--n2", "1.7e308", "--f1", "0.02", "--f2", "0.02",
+            "--ybar1", "0.1", "--ybar2", "0.1", "--rho1", "0.5", "--rho2=-0.5",
+            "--d1", "1e300", "--d2=-1e300"]
+    assert run(tmp_path, *argv) == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr() == ("", "infeasible: count_selection_term is nan\n")
+
+
+def test_non_finite_json_value_is_named_by_its_dotted_key():
+    with pytest.raises(InfeasibleScenarioError, match=r"^checks\.a\.value is -inf$"):
+        cli._round6({"checks": {"a": {"value": [1.0, -math.inf]}}})
 
 
 @pytest.mark.parametrize("ybar", ["0", "1"])

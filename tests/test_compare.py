@@ -225,6 +225,14 @@ def test_rt_gap_identical_inputs_zero_gap():
     assert np.allclose(gap.true_gap[~np.isnan(gap.true_gap)], 0.0, atol=1e-12)
 
 
+def test_rt_gap_without_cases_is_infeasible_and_names_the_country():
+    traj, _ = fig4_trajectories(horizon=5)
+    empty = sir_simulate(SirParams(beta=0.9, gamma_rec=0.2, size=1e6, s0=1e6, i0=0.0, dt=0.1,
+                                   horizon=5))
+    with pytest.raises(InfeasibleScenarioError, match="country B's trajectory has no cases"):
+        rt_gap(traj, empty, 0.02, PERFECT_TEST, 1.0, 7.0)
+
+
 def test_rt_gap_perfect_design_matches_truth():
     traj_a, traj_b = fig4_trajectories(horizon=80)
     gap = rt_gap(traj_a, traj_b, 0.02, PERFECT_TEST, 1.0, 7.0)
