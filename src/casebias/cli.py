@@ -225,14 +225,15 @@ def _load_config(path: str) -> dict:
                 config[key.strip().replace("-", "_")] = raw.strip()
                 break
         else:
-            raise _CliError(f"config line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
     return config
 
 
 def _read(flag: str, load: Callable, path: str, **kwargs):
-    """``load(path, **kwargs)``; a file that cannot be opened is an error naming ``--flag``."""
+    """``load(path, **kwargs)``; a file that cannot be opened, decoded or parsed is an
+    error naming ``--flag``."""
     try:
-        return load(path, **kwargs)
+        return _named(f"--{flag}", load, path, **kwargs)  # UnicodeDecodeError is a ValueError
     except OSError as exc:
         raise _CliError(f"--{flag}: cannot read {path!r}: {exc.strerror or exc}") from None
 

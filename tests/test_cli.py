@@ -649,6 +649,28 @@ def test_per_step_derived_rate_error_is_one_short_line_naming_the_flags(
     assert len(err) < 200 and err.count("\n") == 1
 
 
+F1_49 = "error: --f/--m-grid: f1 must lie in [0, 1], got 49.926487271968824\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # The grid is checked in one pass: the cell named does not depend on where M = 100 sits.
+        (["--f", "0.5", "--m-grid", "1.5,100", "--horizon", "20"], F1_49),
+        (["--f", "0.5", "--m-grid", "100,1.5", "--horizon", "20"], F1_49),
+        # Each check covers the whole grid, in formula order: f0 = f / (ybar (M - 1) + 1)
+        # above 1 at M = 0.01 is named before f1 above 1 at M = 100, wherever each sits.
+        (["--f", "0.99", "--m-grid", "100,0.01", "--horizon", "60"],
+         "error: --f/--m-grid: f0 must lie in [0, 1], got 1.0008785710153552\n"),
+    ],
+    ids=["failing-m-last", "failing-m-first", "f0-before-f1"],
+)
+def test_bias_curves_grid_error_precedence(tmp_path, capsys, argv, err):
+    assert run(tmp_path, "bias-curves", *argv) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", err)
+
+
 SUBNORMAL_F = [
     (["neff", "--f", "5e-324", "--m-grid", "2"], "neff_table.csv", "--f"),
     (["decompose", "--ybar", "0.1", "--f", "5e-324", "--m", "2"], "decomposition.json", "--f"),
@@ -746,6 +768,37 @@ def test_missing_input_file_names_the_flag(tmp_path, capsys, argv, filename):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[-1]}: cannot read {str(missing)!r}")
     assert "Traceback" not in err
+
+
+STRATA_ARGV = ["allocate", "--n", "100", "--strata"]
+SERIES_ARGV = ["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172",
+               "--survey-prev", "0.159", "--date", "2020-04-20", "--series"]
+CONFIG_ARGV = ["neff", "--f", "0.026", "--config"]
+UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, content, err",
+    [
+        (STRATA_ARGV, b"a,b\n1,2\n",
+         "--strata: expected header stratum_id,share,prevalence, got ['a', 'b']"),
+        (STRATA_ARGV, b"\xff\xfe\x00", f"--strata: {UNDECODABLE}"),
+        (SERIES_ARGV, b"a,b\n1,2\n",
+         "--series: expected header date,total_tests,positive_tests, got ['a', 'b']"),
+        (SERIES_ARGV, b"\xff\xfe\x00", f"--series: {UNDECODABLE}"),
+        (CONFIG_ARGV, b"\xff\xfe\x00", f"--config: {UNDECODABLE}"),
+        (CONFIG_ARGV, b"f = 0.02\ngarbage\n",
+         "--config: line 2: expected 'key = value', got 'garbage'"),
+    ],
+    ids=["strata-header", "strata-binary", "series-header", "series-binary", "config-binary",
+         "config-line"],
+)
+def test_unparsable_input_file_names_the_flag(tmp_path, capsys, argv, content, err):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert run(tmp_path / "out", *argv, str(path)) == 1
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("under", ["", "/x"], ids=["file", "under-file"])

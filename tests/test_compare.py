@@ -30,6 +30,7 @@ from casebias import (
     true_rt,
     z_eff,
 )
+from casebias.estimators import _log_error
 from test_epidemic import SPECIAL_CELLS, SPECIAL_TEXT, csv_columns, synthetic_traj
 
 
@@ -333,6 +334,57 @@ def test_rt_gap_matches_scalar_formulas(source, rel_rate, exact):
     if source == "hand" and rel_rate == 10.0:
         # A step with a true R_t in both countries is still flagged: e <= -1.
         assert any(not np.isnan(gap.true_a[t] + gap.true_b[t]) for t in gap.flagged)
+
+
+def _loop_rt_gap(traj_a, traj_b, f, meas, m, serial, exact):
+    """Reference: ``rt_gap`` as one array pass per country, in a loop over the two."""
+    offsets = [int(np.nonzero(traj.new_cases > 0.0)[0][0]) for traj in (traj_a, traj_b)]
+    n = min(traj.new_cases.size - off for traj, off in zip((traj_a, traj_b), offsets))
+    trues, ests = [], []
+    for traj, off in zip((traj_a, traj_b), offsets):
+        k = traj.new_case_fraction[off:off + n]
+        s = traj.susceptible[off:]
+        t = np.nonzero((k[:-1] > 0.0) & (k[1:] > 0.0))[0] + 1
+        ctx = TwoPeriodContext(
+            prev=period_stats_analytic(k[t - 1], f, m, meas),
+            curr=period_stats_analytic(k[t], f, m, meas),
+        )
+        err = np.full(n, np.nan)
+        err[t] = _log_error(ctx, s[t] / s[t - 1] if exact else 1.0, serial)
+        trues.append(true_rt(traj, serial)[off:off + n])
+        ests.append(trues[-1] + err)
+    flagged = np.nonzero(np.isnan(ests[0]) | np.isnan(ests[1]))[0]
+    return trues, ests, tuple(flagged.tolist())
+
+
+# First cases at steps 1 and 3; only country A has a zero-case step after it (step 2),
+# so the two countries' rows select different steps.
+ONE_ZERO_PAIR = (
+    [0.0, 1000.0, 0.0, 2000.0, 170000.0, 130000.0, 5000.0, 3000.0, 3500.0, 200.0],
+    [0.0, 0.0, 0.0, 50.0, 80.0, 40000.0, 30000.0, 10.0, 20.0, 30.0, 40.0, 45.0],
+)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("rel_rate", [0.5, 1.0, 4.0, 10.0])
+@pytest.mark.parametrize("source", ["sir", "one-zero"])
+def test_rt_gap_equals_the_per_country_loop_bit_for_bit(source, rel_rate, exact):
+    if source == "sir":
+        traj_a, traj_b = fig4_trajectories(horizon=150)
+    else:
+        traj_a, traj_b = (synthetic_traj(cases) for cases in ONE_ZERO_PAIR)
+    meas = MeasurementModel(0.01, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trues, ests, flagged = _loop_rt_gap(traj_a, traj_b, 0.02, meas, rel_rate, 7.0, exact)
+        gap = rt_gap(traj_a, traj_b, 0.02, meas, rel_rate, 7.0, exact_susceptible=exact)
+    assert np.array_equal(gap.steps, np.arange(trues[0].size))
+    for got, want in zip((gap.true_a, gap.true_b, gap.est_a, gap.est_b), (*trues, *ests)):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert gap.flagged == flagged
+    if source == "one-zero":
+        # Step 1 of A follows its first case into the zero step; B's step 1 is valid.
+        assert np.isnan(gap.est_a[1]) and not np.isnan(gap.est_b[1])
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from casebias import (
     survey_interval,
     true_rt,
 )
+from casebias.estimators import _log_error
 from test_epidemic import SPECIAL_CELLS, SPECIAL_TEXT, csv_columns, synthetic_traj
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
@@ -509,6 +510,56 @@ def test_bias_curves_reuse_the_case_context_bit_for_bit():
                     for driver in ("cases", "prevalence")
                 )
             assert np.array_equal(cases.rt_bias, prevalence.rt_bias, equal_nan=True)
+
+
+def _loop_step_context(series, f, m, meas):
+    """Reference: the steps of one M, as ``bias_curves`` found them before the grid broadcast."""
+    t = np.nonzero((series[:-1] > 0.0) & (series[1:] > 0.0))[0] + 1
+    return t, TwoPeriodContext(
+        prev=period_stats_analytic(series[t - 1], f, m, meas),
+        curr=period_stats_analytic(series[t], f, m, meas),
+    )
+
+
+def _loop_bias_curves(traj, f, meas, rel_rates, serial, driver, exact):
+    """Reference: ``bias_curves`` as one array pass per M, in a loop over the grid."""
+    k = traj.new_case_fraction
+    ratio_series = k if driver == "cases" else traj.prevalence[: k.size]
+    ratio = np.full((len(rel_rates), k.size), np.nan)
+    rt = np.full((len(rel_rates), k.size), np.nan)
+    for m_idx, m in enumerate(rel_rates):
+        t, ctx = _loop_step_context(ratio_series, f, m, meas)
+        ratio[m_idx, t] = ratio_bias(ctx)
+        if driver == "prevalence":
+            t, ctx = _loop_step_context(k, f, m, meas)
+        s_ratio = traj.susceptible[t] / traj.susceptible[t - 1] if exact else 1.0
+        rt[m_idx, t] = _log_error(ctx, s_ratio, serial)
+    skipped = np.isnan(ratio[:, 1:]) | np.isnan(rt[:, 1:])
+    return ratio, rt, tuple((np.nonzero(skipped.any(axis=0))[0] + 1).tolist())
+
+
+@pytest.mark.parametrize("rel_rates", [(2,), CURVE_M_GRID, (2, 4.0)], ids=["one", "grid", "mixed"])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("driver", ["cases", "prevalence"])
+@pytest.mark.parametrize("source", ["sir", "hand"])
+def test_bias_curves_equal_the_per_m_loop_bit_for_bit(source, driver, exact, rel_rates):
+    if source == "sir":
+        traj = sir_simulate(
+            SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, dt=0.1, horizon=150)
+        )
+    else:
+        traj = synthetic_traj(HAND_CASES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ratio, rt, flagged = _loop_bias_curves(traj, 0.02, MEAS_REF, rel_rates, 7.0, driver, exact)
+        curves = bias_curves(
+            traj, 0.02, MEAS_REF, rel_rates, 7.0, driver=driver, exact_susceptible=exact
+        )
+    assert np.array_equal(curves.steps, np.arange(traj.new_cases.size))
+    assert curves.rel_rates == rel_rates
+    assert np.array_equal(curves.ratio_bias, ratio, equal_nan=True)
+    assert np.array_equal(curves.rt_bias, rt, equal_nan=True)
+    assert curves.flagged == flagged
 
 
 def reference_bias_curves_csv(curves):
