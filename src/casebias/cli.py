@@ -12,6 +12,7 @@ reads ``--<name> must <wording>, got <value>``, as the library's does.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import json
 import math
@@ -236,6 +237,8 @@ def _read(flag: str, load: Callable, path: str, **kwargs):
         return _named(f"--{flag}", load, path, **kwargs)  # UnicodeDecodeError is a ValueError
     except OSError as exc:
         raise _CliError(f"--{flag}: cannot read {path!r}: {exc.strerror or exc}") from None
+    except csv.Error as exc:  # a field over csv's size limit, say; not a ValueError
+        raise _CliError(f"--{flag}: {exc}") from None
 
 
 def _resolve(args: argparse.Namespace, table: list) -> dict:

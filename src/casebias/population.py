@@ -37,10 +37,12 @@ samplers feed it:
   and compare the uniforms as ``realize`` does but build no ``Realization``,
   and under a perfect test they skip the flip uniforms, which could flip no
   one.  ``joint_counts`` and this replay share one cell-counting helper.
-  Their child seeds come from one array pass: numpy's ``SeedSequence`` hash
-  runs once over all children, one lane each, and each child's four state
-  words seed its ``PCG64`` through numpy's ``ISeedSequence`` interface, so
-  every stream is the one ``default_rng(child)`` gives for the spawned child.
+  Their child seeds come from one array pass: numpy's ``SeedSequence``
+  hashes the words every child shares once, and the array pass, one lane
+  per child, covers only each child's index word and its state output.
+  Each child's four state words seed its ``PCG64`` through numpy's
+  ``ISeedSequence`` interface, so every stream is the one
+  ``default_rng(child)`` gives for the spawned child.
 
 Seeds (``SeedLike``) may be an int, a ``SeedSequence`` or a ``Generator``.  A
 ``Generator`` is drawn from, so it advances; the other forms start a fresh
@@ -618,58 +620,42 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 
 
-def _words32(value) -> list:
-    """The uint32 words ``SeedSequence`` reads from an int or a sequence of ints, low first."""
+def _n_words32(value) -> int:
+    """How many uint32 words ``SeedSequence`` reads from an int or a sequence of ints."""
     if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [word for item in value for word in _words32(item)]
+        return max(1, (int(value).bit_length() + 31) // 32)
+    return sum(map(_n_words32, value))
 
 
 def _child_seed_words(master: np.random.SeedSequence, n: int) -> np.ndarray:
     """``[c.generate_state(4, np.uint64) for c in master.spawn(n)]`` as an (n, 4) array.
 
-    Runs numpy's ``SeedSequence`` hash once over uint32 columns, one lane per
-    child, and does not spawn: ``master`` is left as it was.  Child k + i
+    Does not spawn: ``master`` is left as it was.  Child k + i
     (k = ``master.n_children_spawned``) hashes the master's entropy words,
     zero-padded to the pool size, then the master's spawn key, then its own
-    index k + i.  Only that last word differs between children, so the words
-    before it are hashed once, in length-1 arrays that broadcast.  Child
-    indices past 2**32 - 1, where numpy's own ``spawn`` does not finish,
-    raise ``OverflowError``.
+    index k + i.  Only that last word differs between children, so numpy's
+    ``SeedSequence`` hashes the shared words once, into the pool of a
+    childless copy of ``master``; the array pass here, one lane per child,
+    covers only each child's index word and its state output.  Child indices
+    past 2**32 - 1, where numpy's own ``spawn`` does not finish, raise
+    ``OverflowError``.
     """
     first = master.n_children_spawned
-    run = _words32(master.entropy)
-    run += [0] * (master.pool_size - len(run))
-    entropy = [np.full(1, word, dtype=np.uint32) for word in run + _words32(master.spawn_key)]
-    entropy.append(np.arange(first, first + n, dtype=np.uint32))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
+    if first + n > 2**32:
+        raise OverflowError(f"child index {first + n - 1} does not fit in one uint32 word")
+    size = master.pool_size
+    shared = np.random.SeedSequence(master.entropy, spawn_key=master.spawn_key, pool_size=size)
+    # The pool fill, cross-mix and remaining words advance the hash constant size times per word.
+    n_shared = max(_n_words32(master.entropy), size) + _n_words32(master.spawn_key)
+    const = _INIT_A * pow(_MULT_A, n_shared * size, 2**32) & _MASK32
+    index = np.arange(first, first + n, dtype=np.uint32)
+    pool = list(shared.pool[:, None])  # length-1 arrays: a uint32 scalar product warns on overflow
+    for dst in range(size):
+        value = index ^ np.uint32(const)
         const = const * _MULT_A & _MASK32
         value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return out ^ (out >> 16)
-
-    # A child's entropy is always longer than its pool, so every pool word is seeded.
-    size = master.pool_size
-    pool = [hashmix(word) for word in entropy[:size]]
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[size:]:
-        for dst in range(size):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ (value >> 16))
+        pool[dst] = mixed ^ (mixed >> 16)
 
     # generate_state(4, np.uint64): 8 uint32 words cycled from the pool, paired low-high.
     const = _INIT_B

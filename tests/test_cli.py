@@ -176,13 +176,37 @@ def test_sensitivity_series_mode(tmp_path):
          "error: --series/--date: observed prevalence must be finite, got nan\n"),
         ("2020-04-18,0,0\n2020-04-19,100,5\n", ["--date", "2020-04-19"],
          "error: --series/--date: observed prevalence must be finite, got nan\n"),
+        ("2020-04-18,10,1\n", ["--date", "2020-13-01"], "error: --date: bad ISO date '2020-13-01'\n"),
+        ("2020-04-18,10,1\n", ["--date", "2021-01-01"],
+         "error: --date 2021-01-01 not present in --series\n"),
     ],
-    ids=["no-date", "no-tests-on-date", "no-tests-before-date"],
+    ids=["no-date", "no-tests-on-date", "no-tests-before-date", "bad-date", "date-not-in-series"],
 )
 def test_sensitivity_series_requires_date(tmp_path, capsys, series, date, err):
     assert _sensitivity(tmp_path, series, "--survey-raw", "0.139", *date) == 1
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr() == ("", err)
+
+
+BOTH_SHARES = ["--observed-prev", "0.3", "--survey-prev", "0.15"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--survey-prev", "0.15"], "give --observed-prev or --series with --date"),
+        (["--observed-prev", "0.3"], "give --survey-prev or --survey-raw"),
+        ([*BOTH_SHARES, "--fp-range", "0.003,0.008"],
+         "--fp-range and --fn-range must be given together"),
+        ([*BOTH_SHARES, "--fp-range", "0.003", "--fn-range", "0.1,0.2"],
+         "--fp-range/--fn-range must be lo,hi pairs"),
+    ],
+    ids=["no-observed-share", "no-survey-share", "fp-range-alone", "fp-range-not-a-pair"],
+)
+def test_sensitivity_incomplete_input_is_an_error_line(tmp_path, capsys, argv, err):
+    assert _sensitivity(tmp_path, None, *argv) == 1
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_mc_verify_zero_reps_is_validation_error(tmp_path):
@@ -277,6 +301,21 @@ def test_decompose_rejects_ybar_outside_unit_interval(tmp_path, capsys, value, e
     assert run(tmp_path, *argv) == 1
     assert not (tmp_path / "decomposition.json").exists()
     assert f"--ybar must lie in [0, 1], got {float(value)}" in capsys.readouterr().err
+
+
+def test_decompose_empirical_must_be_a_boolean(tmp_path, capsys):
+    assert run(tmp_path, *DECOMPOSE_ARGS, "--empirical", "maybe") == 1
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr() == ("", "error: --empirical: expected a boolean, got 'maybe'\n")
+
+
+@pytest.mark.parametrize("value", ["no", "false", "0"])
+def test_decompose_empirical_off_runs_the_analytic_path(tmp_path, value):
+    assert run(tmp_path / "off", *DECOMPOSE_ARGS, "--empirical", value) == 0
+    assert run(tmp_path / "default", *DECOMPOSE_ARGS) == 0
+    written = (tmp_path / "off" / "decomposition.json").read_text()
+    assert written == (tmp_path / "default" / "decomposition.json").read_text()
+    assert "identity_residual" not in json.loads(written)["outputs"]
 
 
 @pytest.mark.parametrize("value", ["0", "1"])
@@ -775,6 +814,7 @@ SERIES_ARGV = ["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172",
                "--survey-prev", "0.159", "--date", "2020-04-20", "--series"]
 CONFIG_ARGV = ["neff", "--f", "0.026", "--config"]
 UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+OVERLONG = b'"' + b"x" * 140_000 + b'"'  # one quoted field past csv's 131072-character limit
 
 
 @pytest.mark.parametrize(
@@ -789,9 +829,13 @@ UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start
         (CONFIG_ARGV, b"\xff\xfe\x00", f"--config: {UNDECODABLE}"),
         (CONFIG_ARGV, b"f = 0.02\ngarbage\n",
          "--config: line 2: expected 'key = value', got 'garbage'"),
+        (STRATA_ARGV, b"stratum_id,share,prevalence\n" + OVERLONG + b",1,0.1\n",
+         "--strata: field larger than field limit (131072)"),
+        (SERIES_ARGV, b"date,total_tests,positive_tests\n" + OVERLONG + b",10,1\n",
+         "--series: field larger than field limit (131072)"),
     ],
     ids=["strata-header", "strata-binary", "series-header", "series-binary", "config-binary",
-         "config-line"],
+         "config-line", "strata-overlong-field", "series-overlong-field"],
 )
 def test_unparsable_input_file_names_the_flag(tmp_path, capsys, argv, content, err):
     path = tmp_path / "input"

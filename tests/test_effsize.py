@@ -135,6 +135,27 @@ def test_relative_mse_scenario_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"adjustment": "bracket"}, "unknown adjustment 'bracket'"),
+        ({"estimator": "raw"}, "unknown estimator 'raw'"),
+        ({"estimator": "raw", "adjustment": "expectation"}, "unknown estimator 'raw'"),
+    ],
+)
+def test_relative_mse_rejects_unknown_conventions(kwargs, message):
+    sc = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        relative_mse(sc, EffSizeScenario(0.091, 1.5, 0.026), **kwargs)
+
+
+def test_relative_mse_mc_rejects_an_unknown_estimator():
+    sc = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
+    with pytest.raises(ValueError, match="^unknown estimator 'raw'$"):
+        relative_mse_mc(sc, EffSizeScenario(0.091, 1.5, 0.026), 1000, 10, seed=1,
+                        estimator="raw")
+
+
 def test_relative_mse_mc_agrees_with_expectation_form():
     with_meas = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
     without = EffSizeScenario(0.091, 1.5, 0.026)

@@ -621,19 +621,36 @@ def test_realized_counts_replay_realize(meas, form):
         lambda: np.random.SeedSequence(5, spawn_key=(7, 2**33)),
         lambda: np.random.SeedSequence(2**100 + 9, pool_size=8),
         lambda: np.random.SeedSequence(11, n_children_spawned=40),
+        # The shared words numpy hashes: padded entropy, longer entropy, a wider pool.
+        lambda: np.random.SeedSequence(7, spawn_key=(1, 2)),
+        lambda: np.random.SeedSequence(np.arange(9, dtype=np.uint32), spawn_key=(4,)),
+        lambda: np.random.SeedSequence(2**70 + 3, spawn_key=(2**33, 6), pool_size=8),
     ],
     ids=["0", "1", "2**32", "2**63-1", "2**70+3", "os-entropy", "tuple", "uint32-array",
-         "spawn-key", "pool-size-8", "spawned-before"],
+         "spawn-key", "pool-size-8", "spawned-before", "padded-spawn-key",
+         "uint32-array-spawn-key", "pool-size-8-spawn-key"],
 )
 def test_child_seed_words_equal_spawned_children_state(master):
     master = master()
     master.spawn(3)
     before = master.n_children_spawned
-    got = _child_seed_words(master, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _child_seed_words(master, 60)
     assert master.n_children_spawned == before
     want = np.array([c.generate_state(4, np.uint64) for c in master.spawn(60)])
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_child_seed_words_refuse_indices_past_one_uint32_word():
+    # numpy's own spawn does not finish at these indices; build the children directly.
+    master = np.random.SeedSequence(3, n_children_spawned=2**32 - 2)
+    with pytest.raises(OverflowError):
+        _child_seed_words(master, 5)
+    want = [np.random.SeedSequence(3, spawn_key=(k,)).generate_state(4, np.uint64)
+            for k in (2**32 - 2, 2**32 - 1)]
+    assert np.array_equal(_child_seed_words(master, 2), want)
 
 
 def test_a_callers_seed_sequence_advances_by_the_replications():

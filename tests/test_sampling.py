@@ -66,6 +66,14 @@ def test_single_stratum_matches_binomial():
     assert design_variance(strata, [200]) == pytest.approx(0.3 * 0.7 / 200, rel=1e-12)
 
 
+def test_zero_variance_stratum_may_go_unsampled():
+    # A prevalence-0 stratum adds no variance, so an empty allocation there is skipped.
+    strata = [Stratum(0.6, 0.0), Stratum(0.4, 0.3)]
+    assert design_variance(strata, [0, 100]) == pytest.approx(0.4**2 * 0.3 * 0.7 / 100, rel=1e-12)
+    with pytest.raises(ValueError, match="positive-variance stratum received no sample"):
+        design_variance(strata, [100, 0])
+
+
 def test_variance_ordering_reference_example():
     strata = [Stratum(0.8, 0.01), Stratum(0.2, 0.25)]
     ney = design_variance(strata, neyman_allocation(strata, 1000))

@@ -66,6 +66,37 @@ def test_ingest_row_diagnostics(tmp_path):
         ingest(bad_header)
 
 
+def test_ingest_skips_blank_rows(tmp_path):
+    path = write(
+        tmp_path,
+        "date,total_tests,positive_tests\n2020-04-18,100,10\n\n , ,\n2020-04-19,150,30\n",
+    )
+    series = ingest(path)
+    assert series.dates == (dt.date(2020, 4, 18), dt.date(2020, 4, 19))
+    assert list(series.positive_tests) == [10, 30]
+
+
+@pytest.mark.parametrize(
+    "rows, cumulative, message",
+    [
+        ("2020-04-18,100,10\n2020-04-19,150\n", False, "line 3: expected 3 fields, got 2"),
+        ("2020-04-18,100,10.5\n", False, "line 2: counts must be integers"),
+        ("2020-04-18,100,-1\n", False, "line 2: negative count"),
+        ("2020-04-18,-100,0\n", False, "line 2: negative count"),
+        ("2020-04-18,100,10\n", True, "cumulative input needs at least 2 rows"),
+        # Cumulative positives grow by 3 on a day cumulative totals grow by 2.
+        ("2020-04-18,10,5\n2020-04-19,12,8\n", True,
+         "positive_tests exceed total_tests after differencing at 2020-04-19"),
+    ],
+    ids=["two-fields", "non-integer", "negative-positives", "negative-totals",
+         "cumulative-one-row", "cumulative-positives-exceed"],
+)
+def test_ingest_rejects_bad_rows(tmp_path, rows, cumulative, message):
+    path = write(tmp_path, "date,total_tests,positive_tests\n" + rows)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ingest(path, cumulative=cumulative)
+
+
 def test_ingest_cumulative_differencing(tmp_path):
     path = write(
         tmp_path,
