@@ -36,7 +36,9 @@ POSITIVE = Domain("be finite and positive", lambda x: (0.0 < x) & (x < np.inf))
 NON_NEGATIVE = Domain("be finite and >= 0", lambda x: (0.0 <= x) & (x < np.inf))
 NEFF = Domain("be finite and > 1", lambda x: (1.0 < x) & (x < np.inf))
 POPULATION = Domain("be finite and >= 2", lambda x: (2.0 <= x) & (x < np.inf))
-POPULATION_SIZE = Domain("be an integer >= 2", lambda x: (2 <= x) & (x % 1 == 0))  # inf % 1 is NaN
+# Counts: an integral float such as 3.0 passes; inf % 1 is NaN, so inf fails as NaN does.
+INTEGER_AT_LEAST_1 = Domain("be an integer >= 1", lambda x: (1 <= x) & (x % 1 == 0))
+INTEGER_AT_LEAST_2 = Domain("be an integer >= 2", lambda x: (2 <= x) & (x % 1 == 0))
 AT_LEAST_0 = Domain("be >= 0", lambda x: x >= 0)
 AT_LEAST_1 = Domain("be >= 1", lambda x: x >= 1)
 AT_LEAST_2 = Domain("be >= 2", lambda x: x >= 2)

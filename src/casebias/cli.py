@@ -279,10 +279,6 @@ def _round6(value, key: str = ""):
         return {k: _round6(v, f"{key}.{k}" if key else k) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round6(v, key) for v in value]
-    if isinstance(value, (np.floating,)):
-        return _round6(float(value), key)
-    if isinstance(value, (np.integer,)):
-        return int(value)
     return value
 
 

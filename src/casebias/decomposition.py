@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import AT_LEAST_1, ERROR_RATE, FINITE, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check
+from ._domain import (
+    ERROR_RATE, FINITE, INTEGER_AT_LEAST_1, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check,
+)
 from .population import (
     EmpiricalStats,
     FinitePopulation,
@@ -144,7 +146,7 @@ def verify_identity(pop: FinitePopulation, sel: SelectionModel, meas: Measuremen
     ``worst`` is max |total_error - (ybar* - Ybar)| / max(|ybar* - Ybar|, 1e-2) over
     the ``usable`` (non-degenerate) replications, 0.0 when there are none.
     """
-    check("replications", replications, AT_LEAST_1)
+    replications = int(check("replications", replications, INTEGER_AT_LEAST_1))
     stats = _usable(*stats_from_counts(pop, _realized_counts(pop, sel, meas, replications, seed)))
     lhs = stats.ybar_star - pop.prevalence
     residual = np.abs(decompose_realization(pop, stats).total_error - lhs)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, OPEN_UNIT, POPULATION_SIZE, POSITIVE, TESTED_FRACTION, check
+from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
 from .decomposition import corrected_prevalence, d_m, meas_adjustment
@@ -230,7 +230,7 @@ def relative_mse_mc(
     """
     _check_shared(with_meas, without)
     meas = with_meas.meas or PERFECT_TEST
-    check("size", size, POPULATION_SIZE)  # before round(), which fails on NaN and inf
+    check("size", size, INTEGER_AT_LEAST_2)  # before round(), which fails on NaN and inf
     pop = PopulationCounts(size, int(round(with_meas.ybar * size)))
     sel = with_meas.selection
 

@@ -4,7 +4,10 @@ Fixed-step fourth-order Runge-Kutta on
 
     dS/dt = -beta*S*I/N,   dI/dt = beta*S*I/N - gamma*I,   dR/dt = +gamma*I.
 
-The four stages are written out on local Python floats.  The removal rate
+The four stages are written out on local Python floats; each stage's net
+force beta*S*I/N - gamma*I is computed once and serves both its stage point
+and the I update.  S, I and R are kept as three lists of floats, one entry per
+reported step, and become the rows of one array at the end.  The removal rate
 ``gamma_rec`` is a model parameter; the serial interval of the
 reproduction-number estimators is separate and never defaulted from it.
 """
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._domain import AT_LEAST_1, NON_NEGATIVE, POSITIVE, check
+from ._domain import INTEGER_AT_LEAST_1, NON_NEGATIVE, POSITIVE, check
 
 __all__ = [
     "SirParams",
@@ -45,7 +48,8 @@ class SirParams:
     def __post_init__(self):
         for name in ("beta", "gamma_rec", "size", "dt"):
             check(name, getattr(self, name), POSITIVE)
-        check("horizon", self.horizon, AT_LEAST_1)
+        horizon = check("horizon", self.horizon, INTEGER_AT_LEAST_1)
+        object.__setattr__(self, "horizon", int(horizon))  # 3.0 runs as 3 does
         check("i0", self.i0, NON_NEGATIVE)
         check("r0", self.r0, NON_NEGATIVE)
         if not 0.0 <= self.s0 < math.inf:
@@ -91,6 +95,8 @@ class SirTrajectory:
 # Internal RK4 substeps per reported step: keeps the reported grid at dt while
 # pushing the truncation error well under the 1e-6 * N step-halving budget.
 _SUBSTEPS = 4
+# The substep loop walks this tuple: cheaper than a fresh range(_SUBSTEPS) every step.
+_SUBSTEP_INDICES = tuple(range(_SUBSTEPS))
 
 
 def sir_simulate(params: SirParams) -> SirTrajectory:
@@ -103,45 +109,52 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
     """
     beta, gamma, size = params.beta, params.gamma_rec, params.size
     s, i, r = float(params.s0), float(params.i0), float(params.r0)
-    rows = [(s, i, r)]
+    s_path, i_path, r_path = [s], [i], [r]
     h = params.dt / _SUBSTEPS
     hh, h6 = 0.5 * h, h / 6.0
     for _ in range(params.horizon):
-        for _ in range(_SUBSTEPS):
-            # Stage k: force f_k = beta*S*I/N and removal g_k = gamma*I at the stage point.
+        for _ in _SUBSTEP_INDICES:
+            # Stage k: force f_k = beta*S*I/N, removal g_k = gamma*I and net force
+            # d_k = f_k - g_k on I at the stage point.
             f1, g1 = beta * s * i / size, gamma * i
-            s2, i2 = s - hh * f1, i + hh * (f1 - g1)
+            d1 = f1 - g1
+            s2, i2 = s - hh * f1, i + hh * d1
             f2, g2 = beta * s2 * i2 / size, gamma * i2
-            s3, i3 = s - hh * f2, i + hh * (f2 - g2)
+            d2 = f2 - g2
+            s3, i3 = s - hh * f2, i + hh * d2
             f3, g3 = beta * s3 * i3 / size, gamma * i3
-            s4, i4 = s - h * f3, i + h * (f3 - g3)
+            d3 = f3 - g3
+            s4, i4 = s - h * f3, i + h * d3
             f4, g4 = beta * s4 * i4 / size, gamma * i4
             s, i, r = (s - h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
-                       i + h6 * ((f1 - g1) + 2.0 * (f2 - g2) + 2.0 * (f3 - g3) + (f4 - g4)),
+                       i + h6 * (d1 + 2.0 * d2 + 2.0 * d3 + (f4 - g4)),
                        r + h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4))
-        rows.append((s, i, r))
-    path = np.array(rows)
+        s_path.append(s)
+        i_path.append(i)
+        r_path.append(r)
+    path = np.array((s_path, i_path, r_path))  # one row per compartment
 
-    low = path.min()
+    # Taken over (S, I, R) step by step, the order that fixes the sign of a zero minimum.
+    low = path.T.copy().min()
     if not np.isfinite(path).all() or low < 0.0:
         warnings.warn(
             "negative or nonfinite compartment encountered; decrease dt",
             RuntimeWarning,
             stacklevel=2,
         )
-    drift = np.abs(path.sum(axis=1) - size).max()
+    susceptible, infected, removed = path
+    drift = np.abs(susceptible + infected + removed - size).max()
     if not drift <= 1e-9 * size:
         warnings.warn(
             f"conservation drift {drift:.3g} exceeds 1e-9 * N",
             RuntimeWarning,
             stacklevel=2,
         )
-    susceptible = path[:, 0]
     return SirTrajectory(
         times=np.arange(params.horizon + 1) * params.dt,
         susceptible=susceptible,
-        infected=path[:, 1],
-        removed=path[:, 2],
+        infected=infected,
+        removed=removed,
         new_cases=susceptible[:-1] - susceptible[1:],
         size=params.size,
         max_drift=float(drift),
@@ -151,6 +164,8 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
 
 def new_cases_instant(traj: SirTrajectory, beta: float, dt: float) -> np.ndarray:
     """Instantaneous-rate variant beta*S_t*I_t/N * dt of the new-case series."""
+    check("beta", beta, POSITIVE)
+    check("dt", dt, POSITIVE)
     return beta * traj.susceptible[:-1] * traj.infected[:-1] / traj.size * dt
 
 

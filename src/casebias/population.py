@@ -59,7 +59,7 @@ from typing import Callable, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from ._domain import AT_LEAST_2, ERROR_RATE, POPULATION_SIZE, POSITIVE, UNIT, check
+from ._domain import ERROR_RATE, INTEGER_AT_LEAST_2, POSITIVE, UNIT, check
 
 __all__ = [
     "DegenerateSampleError",
@@ -97,7 +97,7 @@ class PopulationCounts:
     sigma_y: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check("size", self.size, POPULATION_SIZE)
+        check("size", self.size, INTEGER_AT_LEAST_2)
         if not (0 <= self.total <= self.size and self.total % 1 == 0):
             raise ValueError(f"total must be an integer in [0, {self.size}], got {self.total}")
         prevalence = self.total / self.size
@@ -271,7 +271,7 @@ def make_population(size: int, prevalence: float, seed: SeedLike) -> FinitePopul
     The count is deterministic so that the prevalence and problem difficulty
     are known constants; only the placement of positives is randomized.
     """
-    check("size", size, POPULATION_SIZE)
+    size = int(check("size", size, INTEGER_AT_LEAST_2))
     check("prevalence", prevalence, UNIT)
     ones = int(round(prevalence * size))
     rng = np.random.default_rng(seed)
@@ -471,12 +471,14 @@ FUNCTIONALS: dict[str, Callable[[PopulationCounts, EmpiricalStats], object]] = {
 }
 
 
-def _check_request(functional: Functional, replications: int) -> None:
-    check("replications", replications, AT_LEAST_2)
+def _check_request(functional: Functional, replications: int) -> int:
+    """The replication count as an int, once it and ``functional`` are checked."""
+    replications = int(check("replications", replications, INTEGER_AT_LEAST_2))
     if isinstance(functional, str) and functional not in FUNCTIONALS:
         raise ValueError(
             f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}"
         )
+    return replications
 
 
 def _usable(stats: EmpiricalStats, degenerate: np.ndarray) -> EmpiricalStats:
@@ -541,7 +543,7 @@ def mc_expectation(
     seed : int, SeedSequence or Generator
         A Generator is drawn from and advances.
     """
-    _check_request(functional, replications)
+    replications = _check_request(functional, replications)
     rng = np.random.default_rng(seed)
     n_pos = pop.total
     counts = np.concatenate(
@@ -574,7 +576,7 @@ def mc_expectation_reference(
     and summary as ``mc_expectation``.  It costs O(N) per replication; use it
     where the realization stream itself must be reproduced.
     """
-    _check_request(functional, replications)
+    replications = _check_request(functional, replications)
     return _summarize(pop, _realized_counts(pop, sel, meas, replications, seed), functional)
 
 

@@ -7,19 +7,27 @@ import pytest
 from casebias import (
     PERFECT_TEST,
     EffSizeScenario,
+    MeasurementModel,
     PopulationSummary,
+    SelectionModel,
+    SirParams,
     _domain,
     binary_rho,
     delta_diff_threshold,
     imperfect_error,
+    make_population,
+    mc_expectation,
+    mc_expectation_reference,
     meas_adjustment_rel,
     mse_vs_srs,
     neff_bound,
     population_adjustment,
     rt_estimate,
     selection_error,
+    sir_simulate,
     srs_variance,
     survey_interval,
+    verify_identity,
     z_eff,
 )
 
@@ -97,3 +105,35 @@ def test_tested_fraction_rejects_subnormals_and_keeps_the_smallest_normal_finite
             use(f)
     assert math.isfinite(use(TINY))
     assert _domain.TESTED_FRACTION.test(TINY) and not _domain.TESTED_FRACTION.test(TINY / 2)
+
+
+POP = make_population(200, 0.2, seed=1)
+SEL, MEAS = SelectionModel(f0=0.1, f1=0.3), MeasurementModel(fp=0.01, fn=0.1)
+
+
+def _sir_path(horizon):
+    traj = sir_simulate(SirParams(beta=1.4, gamma_rec=0.2, size=100.0, s0=99.0, i0=1.0,
+                                  horizon=horizon))
+    return traj.times.tolist(), traj.susceptible.tolist(), traj.max_drift
+
+
+# Each entry point that takes a count: (parameter, smallest count, call returning a comparable).
+COUNT_USERS = {
+    "make_population": ("size", 2, lambda n: make_population(n, 0.2, seed=1).outcomes.tolist()),
+    "SirParams": ("horizon", 1, _sir_path),
+    "mc_expectation": ("replications", 2, lambda n: mc_expectation(POP, SEL, MEAS, "error", n, 1)),
+    "mc_expectation_reference": (
+        "replications", 2, lambda n: mc_expectation_reference(POP, SEL, MEAS, "error", n, 1)
+    ),
+    "verify_identity": ("replications", 1, lambda n: verify_identity(POP, SEL, MEAS, n, 1)),
+}
+
+
+@pytest.mark.parametrize("name, low, use", COUNT_USERS.values(), ids=COUNT_USERS.keys())
+def test_counts_are_checked_where_they_enter(name, low, use):
+    for bad in (2.5, NAN, math.inf, low - 1):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {low}, got "
+                                             rf"{re.escape(str(bad))}$"):
+            use(bad)
+    for count in (low, 3):
+        assert use(float(count)) == use(count)

@@ -109,6 +109,19 @@ def test_new_cases_equal_susceptible_drops():
     assert np.abs(instant - traj.new_cases).max() / scale.max() < 0.2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 0.0])
+@pytest.mark.parametrize("name", ["beta", "dt"])
+def test_new_cases_instant_rejects_beta_and_dt_as_sir_params_does(name, bad):
+    traj = sir_simulate(fig_params(horizon=5))
+    rates = dict(beta=1.4, dt=0.1)
+    with pytest.raises(ValueError) as params_error:
+        fig_params(**{name: bad})
+    rates[name] = bad
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got ") as error:
+        new_cases_instant(traj, **rates)
+    assert str(error.value) == str(params_error.value)
+
+
 def test_too_large_step_flagged():
     with pytest.warns(RuntimeWarning):
         sir_simulate(
@@ -264,6 +277,9 @@ def test_sir_conserves_population_and_stays_nonnegative(
     assert np.abs(total - size).max() <= 1e-9 * size
     for path in (traj.susceptible, traj.infected, traj.removed):
         assert path.min() >= 0.0
+    # Every bit, at the continuous dt values the seeded bit-for-bit scenarios do not reach.
+    for name, expected in reference_sir_paths(params).items():
+        assert np.array_equal(getattr(traj, name), expected), name
 
 
 def reference_trajectory_csv(traj):
