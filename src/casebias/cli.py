@@ -390,7 +390,11 @@ def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
 
 
 def _cmd_sir(opts: dict) -> _Run:
-    return _Run({"trajectory.csv": trajectory_csv(sir_simulate(_sir_params(opts)))})
+    traj = sir_simulate(_sir_params(opts))
+    if not traj.min_compartment >= 0.0:  # NaN for a path that is not finite
+        return _Run({}, infeasible=f"--dt: the smallest compartment is "
+                                   f"{traj.min_compartment:g}; decrease --dt")
+    return _Run({"trajectory.csv": trajectory_csv(traj)})
 
 
 def _cmd_bias_curves(opts: dict) -> _Run:
@@ -606,17 +610,26 @@ _COMMANDS = {
 }
 
 
+def _add_options(parser: _Parser, command: str) -> _Parser:
+    """``parser`` with ``command``'s options and ``_COMMON``: the one place either parser
+    gets a command's options."""
+    for opt in _OPTION_TABLES[command] + _COMMON:
+        parser.add_argument(f"--{opt.name}", default=None, help=opt.help)
+    return parser
+
+
 def _build_parser(command: Optional[str] = None) -> _Parser:
-    # argparse formats each option as it adds it: build only the subparser of a
-    # named command; help, --version and unknown commands get all nine.
+    """A named command's own flat parser, which reads the arguments after the name;
+    for anything else, the parser with all nine commands as subparsers."""
+    # argparse formats each option as it adds it, so a named command builds only its own.
+    if command in _OPTION_TABLES:
+        return _add_options(_Parser(prog=f"casebias {command}"), command)
     # --help shows the module docstring without its last paragraph (the domain policy).
     parser = _Parser(prog="casebias", description=(__doc__ or "").rpartition("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"casebias {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for name in [command] if command in _OPTION_TABLES else _OPTION_TABLES:
-        p = sub.add_parser(name, help=f"{name} outputs")
-        for opt in _OPTION_TABLES[name] + _COMMON:
-            p.add_argument(f"--{opt.name}", default=None, help=opt.help)
+    for name in _OPTION_TABLES:
+        _add_options(sub.add_parser(name, help=f"{name} outputs"), name)
     return parser
 
 
@@ -629,13 +642,21 @@ def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _OPTION_TABLES else None
+    # The nine-command parser scans every argument for its own options first, and
+    # rejects "--=v" there as ambiguous (--help or --version); keep that message.
+    if command is not None and any(arg.startswith("--=") for arg in argv):
+        command = None
     if command not in _PARSERS:
         _PARSERS[command] = _build_parser(command)
     parser = _PARSERS[command]
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _CliError("a subcommand is required (see --help)")
+        if command is None:
+            args = parser.parse_args(argv)
+            if args.command is None:
+                raise _CliError("a subcommand is required (see --help)")
+        else:  # parsed once, by the command's own parser
+            args = parser.parse_args(argv[1:])
+            args.command = command
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             opts = _resolve(args, _OPTION_TABLES[args.command])

@@ -84,21 +84,33 @@ def binary_rho(delta: float, ybar: float, f: float) -> float:
 def neff_bound(scenario: EffSizeScenario) -> float:
     """Equivalent equal-probability sample size f/(1-f) / (rho * D_M)^2, elementwise.
 
-    Infinite where (rho * D_M)^2 is 0, as under equal-probability sampling
-    (rho = 0), or so small that it underflows or the quotient overflows; one
-    warning per call covers every infinite cell.  A scalar scenario gives a float.
+    Infinite where rho * D_M is 0, as under equal-probability sampling, or
+    where the bound exceeds a double; one warning per call covers every
+    infinite cell.  A cell whose nonzero rho * D_M squares to 0 (M within
+    ~1e-12 of 1 at a tiny f) takes the scale-free form
+    ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2).  A scalar scenario gives a float.
     """
     sel, ybar, f = scenario.selection, scenario.ybar, scenario.f
     rho = binary_rho(sel.delta, ybar, f)
     adj = d_m(sel, scenario.meas or PERFECT_TEST, ybar)  # exactly 1.0 for a perfect test
     # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
+    scale = rho * adj
+    square = np.float_power(scale, 2)
     with np.errstate(divide="ignore", over="ignore"):
-        bound = f / (1.0 - f) / np.float_power(rho * adj, 2)
+        bound = f / (1.0 - f) / square
+    lost = (square == 0.0) & (scale != 0.0)  # a nonzero rho * D_M whose square underflows
+    if np.any(lost):
+        # The scale-free form (f/Delta)^2 / (Ybar(1-Ybar) D_M^2), f/Delta = (Ybar(M-1)+1)/(M-1),
+        # squares no tiny number.
+        m1 = np.asarray(scenario.rel_rate, dtype=float) - 1.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            free = ((ybar * m1 + 1.0) / m1) ** 2 / (ybar * (1.0 - ybar) * adj**2)
+        bound = np.where(lost, free, bound)
     if np.any(np.isinf(bound)):
         warnings.warn("neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability "
                       "sampling) or so small that the bound exceeds a double",
                       RuntimeWarning, stacklevel=2)
-    return bound if isinstance(bound, np.ndarray) else float(bound)
+    return bound if np.ndim(bound) else float(bound)
 
 
 def neff_table(

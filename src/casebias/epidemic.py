@@ -143,7 +143,10 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
             stacklevel=2,
         )
     susceptible, infected, removed = path
-    drift = np.abs(susceptible + infected + removed - size).max()
+    # A blown-up path holds inf - inf; the warning above already reports it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = np.abs(susceptible + infected + removed - size).max()
+        new_cases = susceptible[:-1] - susceptible[1:]
     if not drift <= 1e-9 * size:
         warnings.warn(
             f"conservation drift {drift:.3g} exceeds 1e-9 * N",
@@ -155,7 +158,7 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
         susceptible=susceptible,
         infected=infected,
         removed=removed,
-        new_cases=susceptible[:-1] - susceptible[1:],
+        new_cases=new_cases,
         size=params.size,
         max_drift=float(drift),
         min_compartment=float(low),

@@ -31,6 +31,9 @@ SURFACE_CASES = {
     "unknown-option": ["compare", "--n1", "1", "--bogus", "2"],
     "ambiguous-prefix": ["compare", "--n", "1"],
     "unique-prefix": ["sir", "--beta", "1.4", "--gamma", "0.2"],
+    "sir-blow-up": ["sir", "--beta", "8", "--gamma-rec", "0.2", "--dt", "5", "--horizon", "6"],
+    "neff-square-underflow": ["neff", "--f", "1e-300", "--ybar-grid", "0.5",
+                              "--m-grid", "1.000000000001,2"],
 }
 
 
@@ -87,6 +90,18 @@ def test_rt_gap_without_cases_is_infeasible_and_writes_nothing(tmp_path, capsys)
     assert run(tmp_path, "rt-gap", "--i0", "0", "--horizon", "5") == 2
     assert not any(tmp_path.iterdir())
     assert capsys.readouterr() == ("", "infeasible: country A's trajectory has no cases\n")
+
+
+def test_sir_blown_up_trajectory_is_infeasible_and_writes_nothing(tmp_path, capsys):
+    # At dt = 5 the RK4 path leaves the double range: inf, then nan cells.  Only
+    # sir_simulate's own two warnings are flag lines; numpy's inf - inf warning is not.
+    assert run(tmp_path, *SURFACE_CASES["sir-blow-up"]) == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr() == ("", (
+        "flag: negative or nonfinite compartment encountered; decrease dt\n"
+        "flag: conservation drift nan exceeds 1e-9 * N\n"
+        "infeasible: --dt: the smallest compartment is nan; decrease --dt\n"
+    ))
 
 
 def test_sensitivity_direct(tmp_path):
@@ -745,12 +760,12 @@ def test_neff_accepts_the_smallest_normal_tested_fractions(tmp_path):
     assert run(tmp_path, "neff", "--f", "2.2250738585072014e-308", "--m-grid", "2") == 0
 
 
-def test_neff_flags_a_cell_whose_bound_underflows_to_inf(tmp_path, capsys):
-    argv = ["neff", "--f", "1e-300", "--ybar-grid", "0.5", "--m-grid", "1.000000000001,2"]
-    assert run(tmp_path, *argv) == 0
-    assert (tmp_path / "neff_table.csv").read_text() == "ybar,1.000000000001,2\n0.5,inf,9.00\n"
-    flags = [line for line in capsys.readouterr().err.splitlines() if line.startswith("flag: ")]
-    assert len(flags) == 1 and "neff bound is infinite" in flags[0]
+def test_neff_cell_whose_square_underflows_is_finite_and_unflagged(tmp_path, capsys):
+    # (rho * D_M)^2 underflows to 0 in the first cell; its bound is ~4e24, not inf.
+    assert run(tmp_path, *SURFACE_CASES["neff-square-underflow"]) == 0
+    assert (tmp_path / "neff_table.csv").read_text() == (
+        "ybar,1.000000000001,2\n0.5,3999288890173793973043200.00,9.00\n")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -1076,19 +1091,100 @@ def test_parser_surface_is_pinned(tmp_path, monkeypatch, case):
     assert _surface(SURFACE_CASES[case]) == json.loads(SURFACE.read_text())[case]
 
 
-def _subcommands(parser):
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.mark.parametrize("first", [None, "--help", "-h", "--version", "comp", "--out"])
 def test_parser_builds_every_subparser_without_a_command(first):
-    assert _subcommands(_build_parser(first)) == COMMANDS
+    assert list(_subparsers(_build_parser(first))) == COMMANDS
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_parser_builds_only_the_named_subparser(command):
-    assert _subcommands(_build_parser(command)) == [command]
+def test_parser_builds_only_the_named_subparser(monkeypatch, command):
+    # A named command's parser is its own flat parser; its help is the help of
+    # that command's subparser in the nine-command parser, byte for byte.
+    monkeypatch.setenv("COLUMNS", "80")
+    nested = _subparsers(_build_parser())[command]
+    assert _build_parser(command).format_help() == nested.format_help()
+
+
+class _NestedParse:
+    """The nested parse of a named command, behind the flat parser's interface:
+    the nine-command parser reads the command name and every argument after it."""
+
+    def __init__(self, command):
+        self.command, self.parser = command, _build_parser()
+
+    def parse_args(self, args):
+        return self.parser.parse_args([self.command, *args])
+
+
+COMPARE_ARGS = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
+                "--ybar1", "0.1", "--ybar2", "0.1"]
+_SIR = ["sir", "--beta", "1.4", "--gamma-rec", "0.2", "--horizon", "3"]
+PARSE_CORPUS = {
+    "help-after-command": ["compare", "-h"],
+    "help-after-options": [*COMPARE_ARGS, "--help"],
+    "help-abbreviated": ["neff", "--he"],
+    "help-with-attached-value": ["neff", "-hx"],
+    "version-after-command": ["compare", "--version"],
+    "version-after-options": [*COMPARE_ARGS, "--version"],
+    "version-prefix-after-command": ["sir", "--vers"],
+    "unique-prefix": ["sir", "--beta", "1.4", "--gamma", "0.2", "--hor", "3"],
+    "ambiguous-prefix": ["compare", "--n", "1"],
+    "ambiguous-prefix-help-horizon": ["sir", "--h"],
+    "equals-value": ["compare", "--n1=328e6", "--n2=38e6", "--f1=0.023", "--f2=0.023",
+                     "--ybar1=0.1", "--ybar2=0.1"],
+    "equals-prefix": [*_SIR[:3], "--gamma=0.2", "--horizon=3"],
+    "equals-empty": [*_SIR, "--dt="],
+    "equals-no-option": [*COMPARE_ARGS, "--=x"],
+    "equals-no-option-first": ["neff", "--=", "--f", "0.026"],
+    "double-dash-end": [*COMPARE_ARGS, "--"],
+    "double-dash-before-options": ["compare", "--", *COMPARE_ARGS[1:]],
+    "double-dash-then-equals": ["compare", "--", "--=x"],
+    "negative-value": [*COMPARE_ARGS, "--rho1", "-0.5"],
+    "negative-exponent-value": [*COMPARE_ARGS, "--rho2", "-1e-3"],  # read as an option
+    "negative-value-equals": [*COMPARE_ARGS, "--rho1=-0.5"],
+    "negative-value-domain": [*_SIR, "--dt", "-1"],
+    "repeated-flag": [*COMPARE_ARGS, "--n1", "1e6", "--n1", "2e6"],
+    "repeated-flag-prefix": [*_SIR, "--beta", "2", "--bet", "1.5"],
+    "missing-value": ["compare", "--n1"],
+    "option-as-value": ["compare", "--n1", "--n2", "38e6"],
+    "unknown-option-after-command": ["compare", "--bogus", *COMPARE_ARGS[1:]],
+    "unknown-option-after-options": [*COMPARE_ARGS, "--bogus", "2"],
+    "unknown-option-equals": [*COMPARE_ARGS, "--bogus=2"],
+    "unknown-option-before-command": ["--bogus", *COMPARE_ARGS],
+    "out-before-command": ["--out", "o", *COMPARE_ARGS],
+    "short-unknown": [*COMPARE_ARGS, "-x"],
+    "stray-word": ["compare", "stray", *COMPARE_ARGS[1:]],
+    "command-twice": ["compare", *COMPARE_ARGS],
+    "value-with-space": [*_SIR[:2], "1.4 2"],
+    "out-given": [*COMPARE_ARGS, "--out", "sub"],
+    "out-equals": [*_SIR, "--out=sub"],
+    "config-missing": [*COMPARE_ARGS, "--config", "missing.cfg"],
+    "no-options": ["neff"],
+    "boolean-option": ["decompose", "--ybar", "0.1", "--f", "0.02", "--m", "2", "--emp", "no"],
+    "infeasible": ["neff", "--f", "0.026", "--m-grid", "1"],
+}
+
+
+def _surface_and_files(monkeypatch, argv, workdir):
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    return _surface(argv), {str(p.relative_to(workdir)): p.read_bytes()
+                            for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CORPUS))
+def test_flat_parse_matches_the_nested_parse(tmp_path, monkeypatch, fresh_parsers, case):
+    # Exit code, stdout, stderr and written files of each argv, parsed once by the
+    # command's flat parser and parsed twice through the nine-command parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = PARSE_CORPUS[case]
+    flat = _surface_and_files(monkeypatch, argv, tmp_path / "flat")
+    fresh_parsers.update({command: _NestedParse(command) for command in COMMANDS})
+    assert _surface_and_files(monkeypatch, argv, tmp_path / "nested") == flat
 
 
 def _python(*args, cwd=None):
@@ -1096,10 +1192,6 @@ def _python(*args, cwd=None):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=60
     )
-
-
-COMPARE_ARGS = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
-                "--ybar1", "0.1", "--ybar2", "0.1"]
 
 
 def test_module_entry_point_reads_sys_argv(tmp_path, monkeypatch):

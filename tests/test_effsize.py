@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import warnings
 
@@ -391,17 +392,47 @@ def test_relative_mse_mc_builds_no_population_vector():
     assert PopulationCounts(10**12, round(0.091 * 10**12)).prevalence == 0.091
 
 
-def test_neff_table_warns_where_the_bound_underflows_to_inf():
+def scale_free_log_bound(ybar, m, meas=None):
+    """log of ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2), the bound f/(1-f)/(rho D_M)^2
+    with f/Delta = (Ybar(M-1)+1)/(M-1); no factor of it underflows."""
+    # D_M reads f only through Delta/f = (M-1)/(Ybar(M-1)+1); a normal f keeps Delta normal.
+    sel = SelectionModel.from_relative_rate(0.25, m, ybar)
+    adj = 1.0 if meas is None else d_m(sel, meas, ybar)
+    return (2.0 * math.log(abs((ybar * (m - 1.0) + 1.0) / (m - 1.0)))
+            - math.log(ybar * (1.0 - ybar)) - 2.0 * math.log(abs(adj)))
+
+
+def test_neff_cell_whose_square_underflows_takes_the_scale_free_bound():
     # At f = 1e-300, (rho * D_M)^2 underflows to 0 for M within ~1e-12 of 1.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         table = neff_table([0.5], [1.000000000001, 2.0], 1e-300)
-    assert math.isinf(table[0, 0]) and table[0, 1] == 9.0
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "so small" in str(caught[0].message)
-    assert table[0, 1] == math.floor(reference_neff_bound(0.5, 2.0, 1e-300))
-    with pytest.warns(RuntimeWarning, match="is infinite"):
-        assert math.isinf(neff_bound(EffSizeScenario(0.5, 1.000000000001, 1e-300)))
+        bound = neff_bound(EffSizeScenario(0.5, 1.000000000001, 1e-300))
+    m1 = 1.000000000001 - 1.0
+    assert type(bound) is float and bound == ((0.5 * m1 + 1.0) / m1) ** 2 / (0.5 * 0.5)
+    assert 3.9992e24 < bound < 3.9994e24
+    assert table[0, 0] == math.floor(bound)
+    assert table[0, 1] == 9.0 == math.floor(reference_neff_bound(0.5, 2.0, 1e-300))
+
+
+def test_an_infinite_neff_cell_needs_a_zero_scale_or_a_bound_past_the_largest_double():
+    ybar = [1e-300, 1e-12, 0.016, 0.5, 0.9]
+    rel_rate = [1.0, 1.0 + 2.0**-52, 1.000000000001, 1.0 + 1e-9, 1.0 - 1e-12, 0.5, 2.0]
+    mended = 0
+    for f in [1e-300, TINY, 1e-250, 1e-200, 0.026]:
+        for meas in [None, MEAS_REF]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                table = neff_table(ybar, rel_rate, f, meas)
+            for (i, j), cell in np.ndenumerate(table):
+                sc = EffSizeScenario(ybar[i], rel_rate[j], f, meas)
+                scale = binary_rho(sc.delta, ybar[i], f) * d_m(
+                    sc.selection, meas or PERFECT_TEST, ybar[i])
+                if math.isinf(cell) and scale != 0.0:
+                    log_bound = scale_free_log_bound(ybar[i], rel_rate[j], meas)
+                    assert log_bound > math.log(sys.float_info.max), (i, j, f, meas)
+                mended += scale != 0.0 and scale**2 == 0.0 and math.isfinite(cell)
+    assert mended >= 20
 
 
 def test_neff_table_with_finite_cells_does_not_warn():

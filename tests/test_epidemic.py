@@ -376,6 +376,21 @@ def test_sir_simulate_records_drift_and_smallest_compartment():
     assert not traj.min_compartment >= 0.0
 
 
+def test_sir_blow_up_gives_only_its_own_two_warnings():
+    # inf - inf in the drift and the new cases is numpy's "invalid value" warning;
+    # the path's own warning already reports it.
+    params = SirParams(beta=8.0, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, dt=5.0, horizon=6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = sir_simulate(params)
+    assert [str(w.message) for w in caught] == [
+        "negative or nonfinite compartment encountered; decrease dt",
+        "conservation drift nan exceeds 1e-9 * N",
+    ]
+    assert math.isnan(traj.min_compartment) and math.isnan(traj.max_drift)
+    assert np.isnan(traj.new_cases[1:]).all()
+
+
 def test_sir_diagnostics_default_for_hand_built_trajectories_and_skip_equality():
     traj = synthetic_traj([1.0, 2.0, 3.0])
     assert math.isnan(traj.max_drift) and math.isnan(traj.min_compartment)
