@@ -26,7 +26,8 @@ from casebias import (
     relative_mse_mc,
 )
 from casebias._domain import TINY
-from casebias.effsize import _label
+from casebias.decomposition import meas_adjustment
+from casebias.effsize import _label, _scenario_error
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
 
@@ -148,6 +149,47 @@ def test_relative_mse_rejects_unknown_conventions(kwargs, message):
     sc = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
     with pytest.raises(ValueError, match=f"^{message}$"):
         relative_mse(sc, EffSizeScenario(0.091, 1.5, 0.026), **kwargs)
+
+
+def test_relative_mse_unknown_adjustment_wins_over_unknown_estimator():
+    sc = EffSizeScenario(0.091, 1.5, 0.026, MEAS_REF)
+    with pytest.raises(ValueError, match="^unknown adjustment 'bracket'$"):
+        relative_mse(sc, EffSizeScenario(0.091, 1.5, 0.026), estimator="raw",
+                     adjustment="bracket")
+
+
+def _scenario_error_ladder(scenario, estimator, include_bias, adjustment):
+    # Reference: one branch per (adjustment, estimator) pair.
+    meas = scenario.meas or PERFECT_TEST
+    rho = binary_rho(scenario.delta, scenario.ybar, scenario.f)
+    base = rho * math.sqrt((1.0 - scenario.f) / scenario.f) * scenario.sigma_y
+    bias = meas.fp - (meas.fp + meas.fn) * scenario.ybar
+    sel = scenario.selection
+    rates = meas.fp + meas.fn
+    if (adjustment, estimator) == ("scenario", "uncorrected"):
+        err = base * meas_adjustment(sel, meas, scenario.ybar)
+    elif (adjustment, estimator) == ("scenario", "corrected"):
+        return base * d_m(sel, meas, scenario.ybar)
+    elif (adjustment, estimator) == ("expectation", "uncorrected"):
+        err = base * (1.0 - rates)
+    else:
+        return base * (1.0 - rates) * (1.0 + rates) + bias * rates
+    if include_bias:
+        err += bias
+    return err
+
+
+def test_scenario_error_equals_the_per_convention_ladder():
+    rng = np.random.default_rng(2323)
+    for _ in range(200):
+        meas = MeasurementModel(fp=float(rng.uniform(0, 0.2)), fn=float(rng.uniform(0, 0.3)))
+        sc = EffSizeScenario(float(rng.uniform(0.01, 0.6)), float(rng.uniform(0.2, 5.0)),
+                             float(rng.uniform(0.001, 0.15)), meas)
+        for adjustment in ("scenario", "expectation"):
+            for estimator in ("uncorrected", "corrected"):
+                for include_bias in (False, True):
+                    args = (sc, estimator, include_bias, adjustment)
+                    assert _scenario_error(*args).hex() == _scenario_error_ladder(*args).hex()
 
 
 def test_relative_mse_mc_rejects_an_unknown_estimator():

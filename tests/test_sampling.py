@@ -108,6 +108,38 @@ def test_fpc_variant_shrinks_variance():
         design_variance(strata, alloc, fpc=True)
 
 
+def _design_variance_loop(strata, allocation, fpc=False, total_size=None):
+    # Per-stratum reference: each term added to a running sum, left to right.
+    var = 0.0
+    for s, n_h in zip(strata, np.asarray(allocation)):
+        cell = s.prevalence * (1.0 - s.prevalence)
+        if cell == 0.0:
+            continue
+        term = s.share ** 2 * cell / n_h
+        if fpc:
+            size_h = s.share * total_size
+            term *= (size_h - n_h) / max(size_h - 1.0, 1.0)
+        var += term
+    return float(var)
+
+
+@pytest.mark.parametrize("fpc", [False, True], ids=["wr", "fpc"])
+def test_design_variance_equals_the_left_to_right_loop(fpc):
+    # 9 to 60 strata, past the 8 terms where numpy's .sum() starts adding in pairs.
+    rng = np.random.default_rng(20260)
+    for _ in range(300):
+        k = int(rng.integers(9, 61))
+        shares = rng.dirichlet(np.full(k, 0.5))
+        prevalence = rng.uniform(0.0, 1.0, k)
+        prevalence[rng.random(k) < 0.15] = rng.choice([0.0, 1.0])
+        strata = [Stratum(float(a), float(p)) for a, p in zip(shares, prevalence)]
+        alloc = rng.integers(1, 5000, k)
+        alloc[(prevalence == 0.0) | (prevalence == 1.0)] = 0
+        size = float(rng.choice([1e4, 1e6, 3.3e8])) if fpc else None
+        got = design_variance(strata, alloc, fpc=fpc, total_size=size)
+        assert got.hex() == _design_variance_loop(strata, alloc, fpc, size).hex()
+
+
 def test_srs_variance_forms():
     # (1/(N-1)) * ((1-f)/f) * sigma^2 at f = n/N
     value = srs_variance(0.1, 26, 1000)

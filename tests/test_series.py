@@ -141,3 +141,32 @@ def test_series_csv_round_trip(tmp_path):
     assert again.dates == original.dates
     assert list(again.total_tests) == list(original.total_tests)
     assert list(again.positive_tests) == list(original.positive_tests)
+
+
+@pytest.mark.parametrize(
+    "rows, cumulative, message",
+    [
+        ("2020-04-19,1,0\n2020-04-18,1,0\n2020-04-18,1,0\n", False,
+         "dates not increasing at 2020-04-18"),
+        ("2020-04-18,1,0\n2020-04-18,1,0\n2020-04-17,1,0\n", False,
+         "duplicate date 2020-04-18"),
+        # Positives fall on 04-19, totals on 04-20: the earlier day is named.
+        ("2020-04-18,10,5\n2020-04-19,12,4\n2020-04-20,11,4\n", True,
+         "negative daily value after differencing at 2020-04-19"),
+        ("2020-04-18,10,2\n2020-04-19,8,2\n2020-04-20,9,4\n", True,
+         "negative daily value after differencing at 2020-04-19"),
+        # Every day is checked for a negative value before any for excess positives.
+        ("2020-04-18,10,2\n2020-04-19,11,4\n2020-04-20,9,4\n", True,
+         "negative daily value after differencing at 2020-04-20"),
+        # Date order is checked before any differencing.
+        ("2020-04-18,10,2\n2020-04-19,8,2\n2020-04-19,9,4\n", True,
+         "duplicate date 2020-04-19"),
+    ],
+    ids=["decreasing-before-duplicate", "duplicate-before-decreasing", "two-negative-days",
+         "negative-before-excess", "excess-before-negative", "order-before-differencing"],
+)
+def test_ingest_reports_the_first_failing_check(tmp_path, rows, cumulative, message):
+    # Several rules fail at once; which one is reported is part of the contract.
+    path = write(tmp_path, "date,total_tests,positive_tests\n" + rows)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ingest(path, cumulative=cumulative)
