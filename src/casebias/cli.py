@@ -49,7 +49,7 @@ from .decomposition import (
     verify_identity,
 )
 from .effsize import EffSizeScenario, binary_rho, format_neff_table, neff_table
-from .epidemic import SirParams, sir_simulate, trajectory_csv
+from .epidemic import SirParams, SirTrajectory, sir_simulate, trajectory_csv
 from .estimators import (
     InfeasibleScenarioError,
     bias_curves,
@@ -374,8 +374,9 @@ def _cmd_neff(opts: dict) -> _Run:
     return _Run(files)
 
 
-def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
-    return _named(
+def _trajectory(opts: dict, beta_key: str = "beta") -> SirTrajectory:
+    """The SIR path the options describe; a negative or NaN compartment is infeasible."""
+    traj = sir_simulate(_named(
         "--size/--i0/--r0" if "r0" in opts else "--size/--i0",
         SirParams,
         beta=opts[beta_key],
@@ -386,23 +387,22 @@ def _sir_params(opts: dict, beta_key: str = "beta") -> SirParams:
         r0=opts.get("r0", 0.0),
         dt=opts["dt"],
         horizon=opts["horizon"],
-    )
+    ))
+    if not traj.min_compartment >= 0.0:  # NaN for a path that is not finite
+        raise InfeasibleScenarioError(f"--dt: the smallest compartment is "
+                                      f"{traj.min_compartment:g}; decrease --dt")
+    return traj
 
 
 def _cmd_sir(opts: dict) -> _Run:
-    traj = sir_simulate(_sir_params(opts))
-    if not traj.min_compartment >= 0.0:  # NaN for a path that is not finite
-        return _Run({}, infeasible=f"--dt: the smallest compartment is "
-                                   f"{traj.min_compartment:g}; decrease --dt")
-    return _Run({"trajectory.csv": trajectory_csv(traj)})
+    return _Run({"trajectory.csv": trajectory_csv(_trajectory(opts))})
 
 
 def _cmd_bias_curves(opts: dict) -> _Run:
-    traj = sir_simulate(_sir_params(opts))
     curves = _named(
         "--f/--m-grid",
         bias_curves,
-        traj,
+        _trajectory(opts),
         f=opts["f"],
         meas=_meas(opts),
         rel_rates=opts["m_grid"],
@@ -417,13 +417,11 @@ def _cmd_bias_curves(opts: dict) -> _Run:
 
 
 def _cmd_rt_gap(opts: dict) -> _Run:
-    traj_a = sir_simulate(_sir_params(opts, "beta_a"))
-    traj_b = sir_simulate(_sir_params(opts, "beta_b"))
     gap = _named(
         "--f/--m",
         rt_gap,
-        traj_a,
-        traj_b,
+        _trajectory(opts, "beta_a"),
+        _trajectory(opts, "beta_b"),
         f=opts["f"],
         meas=_meas(opts),
         rel_rate=opts["m"],

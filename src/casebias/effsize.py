@@ -135,7 +135,7 @@ def format_neff_table(
     """CSV rendering with two-decimal cells, prevalence down, M across."""
     lines = ["ybar," + ",".join(map(_label, rel_rate_grid))]
     for ybar, row in zip(ybar_grid, table):
-        cells = ",".join("inf" if math.isinf(v) else f"{v:.2f}" for v in row)
+        cells = ",".join(f"{v:.2f}" for v in row)
         lines.append(f"{_label(ybar)},{cells}")
     return "\n".join(lines) + "\n"
 
@@ -166,33 +166,25 @@ def _scenario_error(
     (the first two bracket terms combine to rho*sigma*(1-FP-FN)), which is
     what the Monte Carlo engine reproduces.
     """
+    if adjustment not in ("scenario", "expectation"):
+        raise ValueError(f"unknown adjustment {adjustment!r}")
+    if estimator not in ("uncorrected", "corrected"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     meas = scenario.meas or PERFECT_TEST
     rho = binary_rho(scenario.delta, scenario.ybar, scenario.f)
     quantity = math.sqrt((1.0 - scenario.f) / scenario.f)
     base = rho * quantity * scenario.sigma_y
     bias = meas.fp - (meas.fp + meas.fn) * scenario.ybar
     sel = scenario.selection
-    if adjustment == "scenario":
-        if estimator == "uncorrected":
-            err = base * meas_adjustment(sel, meas, scenario.ybar)
-            if include_bias:
-                err += bias
-            return err
-        if estimator == "corrected":
-            # The correction removes the bias term by construction.
+    rates = meas.fp + meas.fn
+    by_scenario = adjustment == "scenario"
+    if estimator == "corrected":
+        # The correction removes the bias term by construction.
+        if by_scenario:
             return base * d_m(sel, meas, scenario.ybar)
-    elif adjustment == "expectation":
-        rates = meas.fp + meas.fn
-        if estimator == "uncorrected":
-            err = base * (1.0 - rates)
-            if include_bias:
-                err += bias
-            return err
-        if estimator == "corrected":
-            return base * (1.0 - rates) * (1.0 + rates) + bias * rates
-    else:
-        raise ValueError(f"unknown adjustment {adjustment!r}")
-    raise ValueError(f"unknown estimator {estimator!r}")
+        return base * (1.0 - rates) * (1.0 + rates) + bias * rates
+    err = base * (meas_adjustment(sel, meas, scenario.ybar) if by_scenario else 1.0 - rates)
+    return err + bias if include_bias else err
 
 
 def _check_shared(a: EffSizeScenario, b: EffSizeScenario) -> None:

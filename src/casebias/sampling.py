@@ -99,19 +99,20 @@ def design_variance(
         raise ValueError("allocation length must match the number of strata")
     if fpc and total_size is None:
         raise ValueError("fpc variant needs total_size")
-    var = 0.0
-    for s, n_h in zip(strata, allocation):
-        cell = s.prevalence * (1.0 - s.prevalence)
-        if cell == 0.0:
-            continue
-        if n_h <= 0:
-            raise ValueError("positive-variance stratum received no sample")
-        term = s.share ** 2 * cell / n_h
-        if fpc:
-            size_h = s.share * total_size
-            term *= (size_h - n_h) / max(size_h - 1.0, 1.0)
-        var += term
-    return float(var)
+    share = np.array([s.share for s in strata])
+    prevalence = np.array([s.prevalence for s in strata])
+    cell = prevalence * (1.0 - prevalence)
+    live = cell != 0.0  # a zero-variance stratum adds nothing, sampled or not
+    share, cell, n_h = share[live], cell[live], allocation[live]
+    if (n_h <= 0).any():
+        raise ValueError("positive-variance stratum received no sample")
+    # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
+    terms = np.float_power(share, 2) * cell / n_h
+    if fpc:
+        size_h = share * total_size
+        terms *= (size_h - n_h) / np.maximum(size_h - 1.0, 1.0)
+    # cumsum adds left to right from 0.0; .sum() adds in pairs from 8 terms on.
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def srs_variance(pop_prevalence: float, n: float, size: float, fpc: bool = True) -> float:

@@ -86,31 +86,23 @@ def ingest(path, cumulative: bool = False) -> CaseCountSeries:
 
     if not dates:
         raise ValueError("no data rows")
-    for prev, curr in zip(dates, dates[1:]):
-        if curr == prev:
-            raise ValueError(f"duplicate date {curr.isoformat()}")
-        if curr < prev:
-            raise ValueError(f"dates not increasing at {curr.isoformat()}")
+    steps = np.diff([day.toordinal() for day in dates])
+    if (steps <= 0).any():
+        i = int(np.argmax(steps <= 0))  # the first step that does not move forward
+        problem = "duplicate date" if steps[i] == 0 else "dates not increasing at"
+        raise ValueError(f"{problem} {dates[i + 1].isoformat()}")
 
     totals = np.array(totals, dtype=np.int64)
     positives = np.array(positives, dtype=np.int64)
     if cumulative:
         if len(dates) < 2:
             raise ValueError("cumulative input needs at least 2 rows")
-        d_tot = np.diff(totals)
-        d_pos = np.diff(positives)
-        for offset, (a, b) in enumerate(zip(d_tot, d_pos)):
-            if a < 0 or b < 0:
-                raise ValueError(
-                    f"negative daily value after differencing at {dates[offset + 1].isoformat()}"
-                )
-        dates = dates[1:]
-        totals, positives = d_tot, d_pos
-        for day, total, positive in zip(dates, totals, positives):
-            if positive > total:
-                raise ValueError(
-                    f"positive_tests exceed total_tests after differencing at {day.isoformat()}"
-                )
+        dates, totals, positives = dates[1:], np.diff(totals), np.diff(positives)
+        for bad, problem in (((totals < 0) | (positives < 0), "negative daily value"),
+                             (positives > totals, "positive_tests exceed total_tests")):
+            if bad.any():
+                day = dates[int(np.argmax(bad))]
+                raise ValueError(f"{problem} after differencing at {day.isoformat()}")
 
     series = CaseCountSeries(
         dates=tuple(dates),

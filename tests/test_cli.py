@@ -32,6 +32,8 @@ SURFACE_CASES = {
     "ambiguous-prefix": ["compare", "--n", "1"],
     "unique-prefix": ["sir", "--beta", "1.4", "--gamma", "0.2"],
     "sir-blow-up": ["sir", "--beta", "8", "--gamma-rec", "0.2", "--dt", "5", "--horizon", "6"],
+    "bias-curves-blow-up": ["bias-curves", "--beta", "8", "--dt", "5", "--horizon", "6"],
+    "rt-gap-blow-up": ["rt-gap", "--beta-a", "8", "--dt", "5", "--horizon", "6"],
     "neff-square-underflow": ["neff", "--f", "1e-300", "--ybar-grid", "0.5",
                               "--m-grid", "1.000000000001,2"],
 }
@@ -92,10 +94,17 @@ def test_rt_gap_without_cases_is_infeasible_and_writes_nothing(tmp_path, capsys)
     assert capsys.readouterr() == ("", "infeasible: country A's trajectory has no cases\n")
 
 
-def test_sir_blown_up_trajectory_is_infeasible_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [SURFACE_CASES["sir-blow-up"], SURFACE_CASES["bias-curves-blow-up"],
+     SURFACE_CASES["rt-gap-blow-up"], ["rt-gap", "--beta-b", "8", "--dt", "5", "--horizon", "6"]],
+    ids=["sir", "bias-curves", "rt-gap-beta-a", "rt-gap-beta-b"],
+)
+def test_sir_blown_up_trajectory_is_infeasible_and_writes_nothing(tmp_path, capsys, argv):
     # At dt = 5 the RK4 path leaves the double range: inf, then nan cells.  Only
-    # sir_simulate's own two warnings are flag lines; numpy's inf - inf warning is not.
-    assert run(tmp_path, *SURFACE_CASES["sir-blow-up"]) == 2
+    # sir_simulate's own two warnings are flag lines; numpy's inf - inf warning is not,
+    # and bias-curves and rt-gap stop before tabulating the path.
+    assert run(tmp_path, *argv) == 2
     assert not any(tmp_path.iterdir())
     assert capsys.readouterr() == ("", (
         "flag: negative or nonfinite compartment encountered; decrease dt\n"
