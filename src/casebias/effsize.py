@@ -174,9 +174,9 @@ def _scenario_error(
     rho = binary_rho(scenario.delta, scenario.ybar, scenario.f)
     quantity = math.sqrt((1.0 - scenario.f) / scenario.f)
     base = rho * quantity * scenario.sigma_y
-    bias = meas.fp - (meas.fp + meas.fn) * scenario.ybar
-    sel = scenario.selection
     rates = meas.fp + meas.fn
+    bias = meas.fp - rates * scenario.ybar
+    sel = scenario.selection
     by_scenario = adjustment == "scenario"
     if estimator == "corrected":
         # The correction removes the bias term by construction.
