@@ -16,6 +16,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -85,6 +86,8 @@ class _CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    dests: dict  # "--<name>" -> dest of each option _add_options gave it
+
     def error(self, message):  # keep exit codes under our control
         raise _CliError(message)
 
@@ -611,9 +614,39 @@ _COMMANDS = {
 def _add_options(parser: _Parser, command: str) -> _Parser:
     """``parser`` with ``command``'s options and ``_COMMON``: the one place either parser
     gets a command's options."""
+    parser.dests = {}
     for opt in _OPTION_TABLES[command] + _COMMON:
         parser.add_argument(f"--{opt.name}", default=None, help=opt.help)
+        parser.dests[f"--{opt.name}"] = opt.key
     return parser
+
+
+def _exact_args(parser: _Parser, args: list) -> Optional[argparse.Namespace]:
+    """What ``parser.parse_args(args)`` returns when ``args`` are only exact
+    ``--<name> <value>`` pairs of ``parser``'s options and no value starts with "-":
+    every dest None, then the given values, the last of a repeated flag winning.
+    None for any other ``args``, which argparse reads, with its help and errors."""
+    if len(args) % 2:
+        return None
+    values = dict.fromkeys(parser.dests.values())
+    for flag, value in zip(args[::2], args[1::2]):
+        if flag not in parser.dests or value.startswith("-"):
+            return None
+        values[parser.dests[flag]] = value
+    return argparse.Namespace(**values)
+
+
+def _write(path: Path, text: str) -> None:
+    """``text`` as UTF-8, in a file created or truncated at ``path``, with one
+    open and one close."""
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        while data:  # os.write may write less than it is given
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _build_parser(command: Optional[str] = None) -> _Parser:
@@ -652,8 +685,10 @@ def main(argv: Optional[list] = None) -> int:
             args = parser.parse_args(argv)
             if args.command is None:
                 raise _CliError("a subcommand is required (see --help)")
-        else:  # parsed once, by the command's own parser
-            args = parser.parse_args(argv[1:])
+        else:  # parsed once: exact --name value pairs directly, the rest by argparse
+            args = _exact_args(parser, argv[1:])
+            if args is None:
+                args = parser.parse_args(argv[1:])
             args.command = command
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -670,11 +705,13 @@ def main(argv: Optional[list] = None) -> int:
             texts = {name: _text(content, inputs, flags) for name, content in run.files.items()}
         except InfeasibleScenarioError as exc:
             texts, run = {}, _Run({}, infeasible=str(exc))
+        out = Path(opts["out"])
         for name, content in texts.items():
-            path = Path(opts["out"]) / name
+            path = out / name
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(content, newline="\n")
+                if not os.path.isdir(out):  # mkdir on an existing dir raises, then catches, EEXIST
+                    out.mkdir(parents=True, exist_ok=True)
+                _write(path, content)
             except OSError as exc:
                 raise _CliError(f"--out: cannot write {opts['out']!r}: {exc.strerror}") from None
             print(path)

@@ -10,6 +10,8 @@ import numpy as np
 
 __all__ = ["CaseCountSeries", "ingest", "series_csv"]
 
+_COUNT_MAX = 2**63 - 1  # counts are held as int64
+
 
 @dataclass(frozen=True)
 class CaseCountSeries:
@@ -32,11 +34,8 @@ class CaseCountSeries:
 
     def gap_days(self) -> list:
         """Dates straddling a jump larger than one day."""
-        gaps = []
-        for prev, curr in zip(self.dates, self.dates[1:]):
-            if (curr - prev).days > 1:
-                gaps.append((prev, curr))
-        return gaps
+        (jumps,) = np.nonzero(np.diff([day.toordinal() for day in self.dates]) > 1)
+        return [(self.dates[i], self.dates[i + 1]) for i in jumps]
 
 
 def ingest(path, cumulative: bool = False) -> CaseCountSeries:
@@ -76,6 +75,8 @@ def ingest(path, cumulative: bool = False) -> CaseCountSeries:
                 raise ValueError(f"line {lineno}: counts must be integers") from None
             if total < 0 or positive < 0:
                 raise ValueError(f"line {lineno}: negative count")
+            if max(total, positive) > _COUNT_MAX:
+                raise ValueError(f"line {lineno}: count exceeds {_COUNT_MAX}")
             if positive > total:
                 raise ValueError(
                     f"line {lineno}: positive_tests {positive} exceeds total_tests {total}"

@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from casebias import InfeasibleScenarioError, _domain, cli
 from casebias.cli import _OPTION_TABLES, _build_parser, _parse_floats, _resolve, main
@@ -857,9 +860,11 @@ OVERLONG = b'"' + b"x" * 140_000 + b'"'  # one quoted field past csv's 131072-ch
          "--strata: field larger than field limit (131072)"),
         (SERIES_ARGV, b"date,total_tests,positive_tests\n" + OVERLONG + b",10,1\n",
          "--series: field larger than field limit (131072)"),
+        (SERIES_ARGV, b"date,total_tests,positive_tests\n2020-04-20,100000000000000000000,1\n",
+         "--series: line 2: count exceeds 9223372036854775807"),
     ],
     ids=["strata-header", "strata-binary", "series-header", "series-binary", "config-binary",
-         "config-line", "strata-overlong-field", "series-overlong-field"],
+         "config-line", "strata-overlong-field", "series-overlong-field", "series-past-int64"],
 )
 def test_unparsable_input_file_names_the_flag(tmp_path, capsys, argv, content, err):
     path = tmp_path / "input"
@@ -881,6 +886,26 @@ def test_unwritable_out_names_the_flag(tmp_path, capsys, argv, under):
     reason = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
     assert capsys.readouterr() == ("", f"error: --out: cannot write {out!r}: {reason}\n")
     assert afile.read_text() == ""
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("argv", [["sir", "--beta", "1", "--gamma-rec", "0.2", "--horizon", "5"],
+                                  DECOMPOSE_ARGS], ids=["csv", "json"])
+def test_failed_write_names_the_flag_and_closes_the_file(tmp_path, capsys, monkeypatch, argv):
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = str(tmp_path / "out")
+    before = _open_fds()
+    monkeypatch.setattr(os, "write", full)
+    assert main([*argv, "--out", out]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr() == (
+        "", f"error: --out: cannot write {out!r}: No space left on device\n")
+    assert _open_fds() == before
 
 
 def test_no_subcommand_is_validation_error():
@@ -1175,6 +1200,15 @@ PARSE_CORPUS = {
     "no-options": ["neff"],
     "boolean-option": ["decompose", "--ybar", "0.1", "--f", "0.02", "--m", "2", "--emp", "no"],
     "infeasible": ["neff", "--f", "0.026", "--m-grid", "1"],
+    "exact-name-that-prefixes-others": ["neff", "--f", "0.026", "--fp", "0.01", "--fn", "0.1"],
+    "empty-value": [*_SIR, "--dt", ""],
+    "space-led-value": [*_SIR, "--dt", " -1"],
+    "dash-value": [*COMPARE_ARGS, "--out", "-"],
+    "double-dash-value": [*COMPARE_ARGS, "--out", "--"],
+    "value-with-equals": [*_SIR, "--out", "a=b"],
+    "flag-with-trailing-space": [*COMPARE_ARGS, "--n1 ", "5"],
+    "flag-in-other-case": [*COMPARE_ARGS, "--N1", "5"],
+    "odd-count": [*COMPARE_ARGS, "--neff1", "15", "--neff2"],
 }
 
 
@@ -1187,13 +1221,70 @@ def _surface_and_files(monkeypatch, argv, workdir):
 
 @pytest.mark.parametrize("case", sorted(PARSE_CORPUS))
 def test_flat_parse_matches_the_nested_parse(tmp_path, monkeypatch, fresh_parsers, case):
-    # Exit code, stdout, stderr and written files of each argv, parsed once by the
-    # command's flat parser and parsed twice through the nine-command parser.
+    # Exit code, stdout, stderr and written files of each argv, read as main reads it
+    # (exact --name value pairs directly, the rest by the command's flat parser) and
+    # parsed twice through the nine-command parser.
     monkeypatch.setenv("COLUMNS", "80")
     argv = PARSE_CORPUS[case]
     flat = _surface_and_files(monkeypatch, argv, tmp_path / "flat")
     fresh_parsers.update({command: _NestedParse(command) for command in COMMANDS})
+    monkeypatch.setattr(cli, "_exact_args", lambda parser, args: None)
     assert _surface_and_files(monkeypatch, argv, tmp_path / "nested") == flat
+
+
+# Values that argparse reads in a way of its own: empty, space-led, negative, "-"-led.
+EDGE_VALUES = ["", " ", " -1", "-0.5", "-1e-3", "-", "--", "-x", "1.4 2", "a=b", "nan", "0.1",
+               "2", "20", "true"]
+EDGE_FLAGS = ["--", "--=x", "--=", "--bogus", "-x", "-h", "--help", "--version", "--n1 "]
+
+
+@st.composite
+def _edge_argv(draw):
+    """A command's base scenario with up to three exact ``--name value`` pairs
+    inserted between its pairs (repeats included), then up to two insertions
+    anywhere of a pair, an exact name alone, a unique or ambiguous prefix,
+    ``--name=value``, an edge flag or a bare value."""
+    command = draw(st.sampled_from(COMMANDS))
+    base, _ = DOMAIN_BASE[command]
+    args = [tok for key, val in base.items() for tok in (f"--{key}", val)]
+    name = st.sampled_from([opt.name for opt in _OPTION_TABLES[command] + cli._COMMON])
+    value = st.sampled_from(EDGE_VALUES)
+    pair = st.tuples(name, value).map(lambda nv: [f"--{nv[0]}", nv[1]])
+    for _ in range(draw(st.integers(0, 3))):
+        at = 2 * draw(st.integers(0, len(args) // 2))
+        args[at:at] = draw(pair)
+    other = st.one_of(
+        pair,
+        name.map(lambda n: [f"--{n}"]),
+        st.tuples(name, st.integers(1, 12)).map(lambda nk: [f"--{nk[0][:nk[1]]}"]),
+        st.tuples(name, value).map(lambda nv: [f"--{nv[0]}={nv[1]}"]),
+        st.sampled_from(EDGE_FLAGS).map(lambda flag: [flag]),
+        value.map(lambda v: [v]),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(args)))
+        args[at:at] = draw(other)
+    return [command, *args]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_edge_argv())
+def test_exact_pairs_read_as_argparse_reads_them(tmp_path, monkeypatch, argv):
+    # Where the exact path answers, its Namespace is the flat parser's; either way,
+    # main's exit code, stdout, stderr and files are those of argparse alone.
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "strata.csv").write_text(STRATA)
+    argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
+    parser = _build_parser(argv[0])
+    exact = cli._exact_args(parser, argv[1:])
+    if exact is not None:
+        assert exact == parser.parse_args(argv[1:])
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        got = _surface_and_files(monkeypatch, argv, Path(work) / "exact")
+        with monkeypatch.context() as off:
+            off.setattr(cli, "_exact_args", lambda parser, args: None)
+            assert _surface_and_files(off, argv, Path(work) / "argparse") == got
 
 
 def _python(*args, cwd=None):

@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -83,18 +84,30 @@ def test_ingest_skips_blank_rows(tmp_path):
         ("2020-04-18,100,10.5\n", False, "line 2: counts must be integers"),
         ("2020-04-18,100,-1\n", False, "line 2: negative count"),
         ("2020-04-18,-100,0\n", False, "line 2: negative count"),
+        ("2020-04-18,100000000000000000000,1\n", False,
+         "line 2: count exceeds 9223372036854775807"),
+        ("2020-04-18,10,9223372036854775808\n", False,
+         "line 2: count exceeds 9223372036854775807"),
         ("2020-04-18,100,10\n", True, "cumulative input needs at least 2 rows"),
         # Cumulative positives grow by 3 on a day cumulative totals grow by 2.
         ("2020-04-18,10,5\n2020-04-19,12,8\n", True,
          "positive_tests exceed total_tests after differencing at 2020-04-19"),
     ],
     ids=["two-fields", "non-integer", "negative-positives", "negative-totals",
-         "cumulative-one-row", "cumulative-positives-exceed"],
+         "totals-past-int64", "positives-past-int64", "cumulative-one-row",
+         "cumulative-positives-exceed"],
 )
 def test_ingest_rejects_bad_rows(tmp_path, rows, cumulative, message):
     path = write(tmp_path, "date,total_tests,positive_tests\n" + rows)
     with pytest.raises(ValueError, match=f"^{message}$"):
         ingest(path, cumulative=cumulative)
+
+
+def test_ingest_accepts_counts_up_to_the_int64_max(tmp_path):
+    top = 2**63 - 1
+    path = write(tmp_path, f"date,total_tests,positive_tests\n2020-04-18,{top},{top}\n")
+    series = ingest(path)
+    assert series.total_tests.tolist() == series.positive_tests.tolist() == [top]
 
 
 def test_ingest_cumulative_differencing(tmp_path):
@@ -127,6 +140,35 @@ def test_ingest_gap_flagged(tmp_path):
     with pytest.warns(RuntimeWarning, match="gap"):
         series = ingest(path)
     assert series.gap_days() == [(dt.date(2020, 4, 18), dt.date(2020, 4, 25))]
+
+
+def _pairwise_gaps(dates):
+    """The pairwise loop gap_days replaced, kept as its reference."""
+    return [(prev, curr) for prev, curr in zip(dates, dates[1:]) if (curr - prev).days > 1]
+
+
+@pytest.mark.parametrize("cumulative", [False, True], ids=["daily", "cumulative"])
+def test_gap_days_equals_the_pairwise_loop(tmp_path, cumulative):
+    # Seeded increasing dates with steps of 1-4 days, some runs with no gap at all;
+    # cumulative input drops the first date, and with it a gap that starts there.
+    rng = np.random.default_rng(24)
+    for case in range(200):
+        steps = rng.integers(1, 5 if case % 4 else 2, size=int(rng.integers(1, 30)))
+        dates = [dt.date(2020, 1, 1) + dt.timedelta(days=int(d)) for d in np.cumsum(steps)]
+        series = CaseCountSeries(dates=tuple(dates), total_tests=np.zeros(len(dates)),
+                                 positive_tests=np.zeros(len(dates)))
+        assert series.gap_days() == _pairwise_gaps(dates)
+        if cumulative and len(dates) < 2:
+            continue
+
+        rows = "".join(f"{day.isoformat()},{2 * i},{i}\n" for i, day in enumerate(dates))
+        path = write(tmp_path, "date,total_tests,positive_tests\n" + rows)
+        kept = dates[1:] if cumulative else dates
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert ingest(path, cumulative=cumulative).gap_days() == _pairwise_gaps(kept)
+        spans = ", ".join(f"{a.isoformat()}..{b.isoformat()}" for a, b in _pairwise_gaps(kept))
+        assert [str(w.message) for w in caught] == ([f"calendar gaps: {spans}"] if spans else [])
 
 
 def test_series_csv_round_trip(tmp_path):
