@@ -4,10 +4,13 @@ A domain is a ``(wording, test)`` pair.  Each test is written with ``&`` on
 comparisons, so NaN fails it and it works element-wise on arrays.  ``check``
 is the one place that applies a domain and words its failure:
 ``<name> must <wording>, got <value>``, where an array's value is its first
-element outside the domain.
+element outside the domain.  ``notice`` is the one place that reports a
+recoverable condition: a ``RuntimeWarning`` at the line that called the
+public function.
 """
 from __future__ import annotations
 
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,3 +61,9 @@ def check(name: str, value, domain: Domain):
         got = value[~ok][0] if isinstance(ok, np.ndarray) else value
         raise ValueError(f"{name} must {domain.wording}, got {got}")
     return value
+
+
+def notice(message: str, stacklevel: int = 2) -> None:
+    """Report ``message`` as a ``RuntimeWarning``, attributed as ``warnings.warn``
+    would attribute it when called with ``stacklevel`` in place of this call."""
+    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)

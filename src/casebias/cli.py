@@ -12,6 +12,7 @@ reads ``--<name> must <wording>, got <value>``, as the library's does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -70,6 +71,7 @@ from .compare import (
     z_eff,
 )
 from .sampling import (
+    _total,
     design_variance,
     neyman_allocation,
     proportional_allocation,
@@ -312,6 +314,14 @@ def _named(flags: str, call: Callable, *args, **kwargs):
         raise _CliError(f"{flags}: {exc}") from None
 
 
+def _together(opts: dict, a: str, b: str) -> bool:
+    """Whether the options keyed ``a`` and ``b`` are given; one without the other is
+    an error naming both flags."""
+    if (opts[a] is None) != (opts[b] is None):
+        raise _CliError(f"--{a} and --{b} must be given together".replace("_", "-"))
+    return opts[a] is not None
+
+
 def _meas(opts: dict, fp_key: str = "fp", fn_key: str = "fn") -> MeasurementModel:
     return _named(f"--{fp_key}/--{fn_key}", MeasurementModel, fp=opts[fp_key], fn=opts[fn_key])
 
@@ -364,11 +374,7 @@ def _cmd_decompose(opts: dict) -> _Run:
 
 
 def _cmd_neff(opts: dict) -> _Run:
-    meas = None
-    if (opts["fp"] is None) != (opts["fn"] is None):
-        raise _CliError("--fp and --fn must be given together")
-    if opts["fp"] is not None:
-        meas = _meas(opts)
+    meas = _meas(opts) if _together(opts, "fp", "fn") else None
     table = _named("--f/--m-grid/--ybar-grid", neff_table,
                    opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
     files = {"neff_table.csv": format_neff_table(table, opts["ybar_grid"], opts["m_grid"])}
@@ -472,9 +478,7 @@ def _cmd_sensitivity(opts: dict) -> _Run:
             raise _CliError("give --survey-prev or --survey-raw")
         survey = _corrected("--survey-raw", opts["survey_raw"], meas)
     meas_ranges = None
-    if (opts["fp_range"] is None) != (opts["fn_range"] is None):
-        raise _CliError("--fp-range and --fn-range must be given together")
-    if opts["fp_range"] is not None:
+    if _together(opts, "fp_range", "fn_range"):
         if len(opts["fp_range"]) != 2 or len(opts["fn_range"]) != 2:
             raise _CliError("--fp-range/--fn-range must be lo,hi pairs")
         meas_ranges = (tuple(opts["fp_range"]), tuple(opts["fn_range"]))
@@ -533,9 +537,7 @@ def _cmd_compare(opts: dict) -> _Run:
         "percapita_selection_term": percap.selection_term,
         "percapita_scale_term": percap.scale_term,
     }
-    if (opts["neff1"] is None) != (opts["neff2"] is None):
-        raise _CliError("--neff1 and --neff2 must be given together")
-    if opts["neff1"] is not None:
+    if _together(opts, "neff1", "neff2"):
         outputs["z_eff"] = z_eff(
             a.ybar_hat,
             b.ybar_hat,
@@ -554,7 +556,7 @@ def _cmd_allocate(opts: dict) -> _Run:
     lines = ["stratum_id,share,prevalence,neyman_n,proportional_n"]
     for i, (s, n_h, p_h) in enumerate(zip(strata, alloc, prop)):
         lines.append(f"{i},{s.share:.6g},{s.prevalence:.6g},{int(n_h)},{int(p_h)}")
-    pooled = sum(s.share * s.prevalence for s in strata)
+    pooled = _total(s.share * s.prevalence for s in strata)
     outputs = {
         "neyman_variance": design_variance(strata, alloc),
         "proportional_variance": design_variance(strata, prop),
@@ -636,12 +638,13 @@ def _exact_args(parser: _Parser, args: list) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**values)
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str, opened: list) -> None:
     """``text`` as UTF-8, in a file created or truncated at ``path``, with one
-    open and one close."""
+    open and one close; ``path`` joins ``opened`` once the open succeeds."""
     data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0),
                  0o666)
+    opened.append(path)
     try:
         while data:  # os.write may write less than it is given
             data = data[os.write(fd, data):]
@@ -706,14 +709,18 @@ def main(argv: Optional[list] = None) -> int:
         except InfeasibleScenarioError as exc:
             texts, run = {}, _Run({}, infeasible=str(exc))
         out = Path(opts["out"])
-        for name, content in texts.items():
-            path = out / name
-            try:
-                if not os.path.isdir(out):  # mkdir on an existing dir raises, then catches, EEXIST
-                    out.mkdir(parents=True, exist_ok=True)
-                _write(path, content)
-            except OSError as exc:
-                raise _CliError(f"--out: cannot write {opts['out']!r}: {exc.strerror}") from None
+        opened = []
+        try:
+            if texts and not os.path.isdir(out):  # mkdir on a dir raises, then catches, EEXIST
+                out.mkdir(parents=True, exist_ok=True)
+            for name, content in texts.items():
+                _write(out / name, content, opened)
+        except OSError as exc:  # a failed run leaves no file it opened
+            for path in opened:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise _CliError(f"--out: cannot write {opts['out']!r}: {exc.strerror}") from None
+        for path in opened:
             print(path)
         for flag in flags:
             print(f"flag: {flag}", file=sys.stderr)

@@ -17,14 +17,12 @@ with one ``stats_from_counts`` call and one array ``decompose_realization``.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import (
-    ERROR_RATE, FINITE, INTEGER_AT_LEAST_1, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check,
-)
+from ._domain import ERROR_RATE, FINITE, INTEGER_AT_LEAST_1, OPEN_UNIT, POSITIVE, TESTED_FRACTION
+from ._domain import check, notice
 from .population import (
     EmpiricalStats,
     FinitePopulation,
@@ -270,11 +268,7 @@ def corrected_prevalence(
     else:
         raise ValueError(f"unknown correction method {method!r}")
     if not 0.0 <= value <= 1.0:
-        warnings.warn(
-            f"corrected prevalence {value:.6g} outside [0, 1]; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        notice(f"corrected prevalence {value:.6g} outside [0, 1]; clamping")
         value = min(1.0, max(0.0, value))
     return float(value)
 

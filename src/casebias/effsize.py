@@ -17,13 +17,13 @@ throughout; Monte Carlo counterparts live in ``population.mc_expectation``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, check
+from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION
+from ._domain import check, notice
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
 from .decomposition import corrected_prevalence, d_m, meas_adjustment
@@ -107,9 +107,8 @@ def neff_bound(scenario: EffSizeScenario) -> float:
             free = ((ybar * m1 + 1.0) / m1) ** 2 / (ybar * (1.0 - ybar) * adj**2)
         bound = np.where(lost, free, bound)
     if np.any(np.isinf(bound)):
-        warnings.warn("neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability "
-                      "sampling) or so small that the bound exceeds a double",
-                      RuntimeWarning, stacklevel=2)
+        notice("neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability "
+               "sampling) or so small that the bound exceeds a double")
     return bound if np.ndim(bound) else float(bound)
 
 

@@ -14,13 +14,12 @@ reproduction-number estimators is separate and never defaulted from it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._domain import INTEGER_AT_LEAST_1, NON_NEGATIVE, POSITIVE, check
+from ._domain import INTEGER_AT_LEAST_1, NON_NEGATIVE, POSITIVE, check, notice
 
 __all__ = [
     "SirParams",
@@ -137,22 +136,14 @@ def sir_simulate(params: SirParams) -> SirTrajectory:
     # Taken over (S, I, R) step by step, the order that fixes the sign of a zero minimum.
     low = path.T.copy().min()
     if not np.isfinite(path).all() or low < 0.0:
-        warnings.warn(
-            "negative or nonfinite compartment encountered; decrease dt",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        notice("negative or nonfinite compartment encountered; decrease dt")
     susceptible, infected, removed = path
     # A blown-up path holds inf - inf; the warning above already reports it.
     with np.errstate(invalid="ignore", over="ignore"):
         drift = np.abs(susceptible + infected + removed - size).max()
         new_cases = susceptible[:-1] - susceptible[1:]
     if not drift <= 1e-9 * size:
-        warnings.warn(
-            f"conservation drift {drift:.3g} exceeds 1e-9 * N",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        notice(f"conservation drift {drift:.3g} exceeds 1e-9 * N")
     return SirTrajectory(
         times=np.arange(params.horizon + 1) * params.dt,
         susceptible=susceptible,
@@ -182,11 +173,7 @@ def true_rt(traj: SirTrajectory, serial_interval: float) -> np.ndarray:
     out = _true_rt(traj, serial_interval)
     skipped = int(np.isnan(out[1:]).sum())
     if skipped:
-        warnings.warn(
-            f"{skipped} steps skipped: nonpositive new-case counts",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        notice(f"{skipped} steps skipped: nonpositive new-case counts")
     return out
 
 

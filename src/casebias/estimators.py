@@ -14,13 +14,12 @@ rates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check
+from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check, notice
 from .population import MeasurementModel, SelectionModel
 from .decomposition import _flip_mass, corrected_prevalence, d_m
 from .effsize import _label, binary_rho
@@ -157,11 +156,7 @@ def _step_context(series: np.ndarray, f: float, rel_rate, meas: MeasurementModel
 def _warn_flagged(n_flagged: int) -> None:
     """The warning of ``bias_curves`` and ``rt_gap``, at their caller, for flagged steps."""
     if n_flagged:
-        warnings.warn(
-            f"{n_flagged} steps flagged (zero shares or log-domain failures)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        notice(f"{n_flagged} steps flagged (zero shares or log-domain failures)", stacklevel=3)
 
 
 def _rt_error_series(shape, idx, ctx, susceptible, serial_interval, exact_susceptible):
@@ -395,9 +390,5 @@ def survey_interval(p_raw: float, n: int, z: float = 2.0) -> tuple:
     half = z * math.sqrt(p_raw * (1.0 - p_raw) / n)
     lo, hi = p_raw - half, p_raw + half
     if lo < 0.0 or hi > 1.0:
-        warnings.warn(
-            f"survey interval [{lo:.6g}, {hi:.6g}] outside [0, 1]; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        notice(f"survey interval [{lo:.6g}, {hi:.6g}] outside [0, 1]; clamping")
     return (max(lo, 0.0), min(hi, 1.0))

@@ -4,6 +4,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,8 +39,14 @@ class Stratum:
         return math.sqrt(self.prevalence * (1.0 - self.prevalence))
 
 
+def _total(values) -> float:
+    """``values`` added left to right from 0.0.  From Python 3.12 ``sum`` compensates
+    its float additions, so it can differ in the last bits from one version to another."""
+    return reduce(add, values, 0.0)
+
+
 def validate_strata(strata: Sequence[Stratum]) -> None:
-    total = sum(s.share for s in strata)
+    total = _total(s.share for s in strata)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"stratum shares must sum to 1, got {total!r}")
 
@@ -111,8 +119,7 @@ def design_variance(
     if fpc:
         size_h = share * total_size
         terms *= (size_h - n_h) / np.maximum(size_h - 1.0, 1.0)
-    # cumsum adds left to right from 0.0; .sum() adds in pairs from 8 terms on.
-    return float(np.cumsum(np.append(0.0, terms))[-1])
+    return _total(terms.tolist())  # numpy's .sum() adds in pairs from 8 terms on
 
 
 def srs_variance(pop_prevalence: float, n: float, size: float, fpc: bool = True) -> float:

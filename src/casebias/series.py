@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._domain import notice
 
 __all__ = ["CaseCountSeries", "ingest", "series_csv"]
 
@@ -113,7 +114,7 @@ def ingest(path, cumulative: bool = False) -> CaseCountSeries:
     gaps = series.gap_days()
     if gaps:
         spans = ", ".join(f"{a.isoformat()}..{b.isoformat()}" for a, b in gaps)
-        warnings.warn(f"calendar gaps: {spans}", RuntimeWarning, stacklevel=2)
+        notice(f"calendar gaps: {spans}")
     return series
 
 

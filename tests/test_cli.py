@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from casebias import InfeasibleScenarioError, _domain, cli
+from casebias import InfeasibleScenarioError, _domain, cli, srs_variance
 from casebias.cli import _OPTION_TABLES, _build_parser, _parse_floats, _resolve, main
 
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
@@ -645,6 +645,25 @@ def test_allocate(tmp_path):
     assert payload["outputs"]["neyman_variance"] <= payload["outputs"]["proportional_variance"]
 
 
+def test_allocate_pooled_prevalence_adds_left_to_right(tmp_path):
+    # Ten strata of share 0.1 whose share * prevalence terms add to 0.452 left to right;
+    # a compensated sum, as sum() is from Python 3.12, gives 0.45200000000000007.
+    prevalence = [0.14, 0.84, 0.76, 0.26, 0.5, 0.45, 0.65, 0.78, 0.1, 0.04]
+    strata = tmp_path / "strata.csv"
+    strata.write_text("stratum_id,share,prevalence\n"
+                      + "".join(f"s{i},0.1,{p}\n" for i, p in enumerate(prevalence)))
+    terms = [0.1 * p for p in prevalence]
+    pooled = 0.0
+    for term in terms:
+        pooled += term
+    assert pooled != math.fsum(terms)
+    run = cli._cmd_allocate({"strata": str(strata), "n": 1000, "population": 1e6})
+    outputs = run.files["allocation.json"]
+    assert outputs["pooled_prevalence"].hex() == pooled.hex()
+    assert outputs["srs_variance"] == srs_variance(pooled, 1000, 1e6)
+    assert outputs["srs_variance_wr"] == srs_variance(pooled, 1000, 0, fpc=False)
+
+
 @pytest.mark.parametrize("population", ["1", "nan", "500"])
 def test_allocate_bad_population_writes_nothing(tmp_path, capsys, population):
     # 1 and nan fail --population's domain; 500 fails the joint n < population.
@@ -892,12 +911,26 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
-@pytest.mark.parametrize("argv", [["sir", "--beta", "1", "--gamma-rec", "0.2", "--horizon", "5"],
-                                  DECOMPOSE_ARGS], ids=["csv", "json"])
-def test_failed_write_names_the_flag_and_closes_the_file(tmp_path, capsys, monkeypatch, argv):
-    def full(fd, data):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+@pytest.mark.parametrize(
+    "argv, writes",
+    [(["sir", "--beta", "1", "--gamma-rec", "0.2", "--horizon", "5"], 0), (DECOMPOSE_ARGS, 0),
+     ([*STRATA_ARGV, "{tmp}/strata.csv"], 1)],
+    ids=["csv", "json", "allocate-second-file"],
+)
+def test_failed_write_names_the_flag_and_closes_the_file(tmp_path, capsys, monkeypatch, argv,
+                                                         writes):
+    # os.write runs `writes` times, then fails: one error line, nothing printed on
+    # stdout, no file left under --out and no descriptor left open.
+    real_write, calls = os.write, []
 
+    def full(fd, data):
+        calls.append(fd)
+        if len(calls) > writes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data)
+
+    (tmp_path / "strata.csv").write_text(STRATA)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     out = str(tmp_path / "out")
     before = _open_fds()
     monkeypatch.setattr(os, "write", full)
@@ -905,6 +938,8 @@ def test_failed_write_names_the_flag_and_closes_the_file(tmp_path, capsys, monke
     monkeypatch.undo()
     assert capsys.readouterr() == (
         "", f"error: --out: cannot write {out!r}: No space left on device\n")
+    assert len(calls) == writes + 1
+    assert os.listdir(out) == []
     assert _open_fds() == before
 
 
@@ -1210,6 +1245,25 @@ PARSE_CORPUS = {
     "flag-in-other-case": [*COMPARE_ARGS, "--N1", "5"],
     "odd-count": [*COMPARE_ARGS, "--neff1", "15", "--neff2"],
 }
+
+
+@pytest.mark.parametrize(
+    "argv, pair",
+    [
+        (["neff", "--f", "0.026", "--fp", "0.01"], "--fp and --fn"),
+        (["neff", "--f", "0.026", "--fn", "0.1"], "--fp and --fn"),
+        (["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172", *BOTH_SHARES,
+          "--fn-range", "0.1,0.2"], "--fp-range and --fn-range"),
+        ([*COMPARE_ARGS, "--neff1", "15"], "--neff1 and --neff2"),
+        ([*COMPARE_ARGS, "--neff2", "15"], "--neff1 and --neff2"),
+    ],
+    ids=["neff-fp-alone", "neff-fn-alone", "sensitivity-fn-range-alone", "compare-neff1-alone",
+         "compare-neff2-alone"],
+)
+def test_paired_option_alone_is_an_error_line(tmp_path, capsys, argv, pair):
+    assert run(tmp_path / "out", *argv) == 1
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr() == ("", f"error: {pair} must be given together\n")
 
 
 def _surface_and_files(monkeypatch, argv, workdir):

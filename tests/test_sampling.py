@@ -108,6 +108,25 @@ def test_fpc_variant_shrinks_variance():
         design_variance(strata, alloc, fpc=True)
 
 
+def _left_to_right(values):
+    """A running sum from 0.0, one value at a time."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_share_total_adds_left_to_right():
+    # Eleven shares of 0.1 add to 1.0999999999999999 left to right; a compensated sum,
+    # as sum() is from Python 3.12, gives 1.1.
+    shares = [0.1] * 11
+    total = _left_to_right(shares)
+    assert total != math.fsum(shares)
+    with pytest.raises(ValueError) as error:
+        validate_strata([Stratum(share, 0.3) for share in shares])
+    assert str(error.value) == f"stratum shares must sum to 1, got {total!r}"
+
+
 def _design_variance_loop(strata, allocation, fpc=False, total_size=None):
     # Per-stratum reference: each term added to a running sum, left to right.
     var = 0.0
