@@ -5,17 +5,20 @@ comparisons, so NaN fails it and it works element-wise on arrays.  ``check``
 is the one place that applies a domain and words its failure:
 ``<name> must <wording>, got <value>``, where an array's value is its first
 element outside the domain.  ``notice`` is the one place that reports a
-recoverable condition: a ``RuntimeWarning`` at the line that called the
-public function.
+recoverable condition: a ``RuntimeWarning`` attributed to the first frame
+outside the ``casebias`` package, so a public function that calls another
+reports at the line that called the outer one.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__: list = []
+_PACKAGE = __name__.partition(".")[0]
 
 
 class Domain(NamedTuple):
@@ -63,7 +66,11 @@ def check(name: str, value, domain: Domain):
     return value
 
 
-def notice(message: str, stacklevel: int = 2) -> None:
-    """Report ``message`` as a ``RuntimeWarning``, attributed as ``warnings.warn``
-    would attribute it when called with ``stacklevel`` in place of this call."""
-    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)
+def notice(message: str) -> None:
+    """Report ``message`` as a ``RuntimeWarning``, attributed to the first calling
+    frame outside the ``casebias`` package."""
+    # warnings.warn(skip_file_prefixes=...) does this from Python 3.12 only.
+    frame, level = sys._getframe(1), 2  # level: warnings.warn's stacklevel for frame
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)

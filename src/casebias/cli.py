@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -88,8 +89,6 @@ class _CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    dests: dict  # "--<name>" -> dest of each option _add_options gave it
-
     def error(self, message):  # keep exit codes under our control
         raise _CliError(message)
 
@@ -613,29 +612,26 @@ _COMMANDS = {
 }
 
 
-def _add_options(parser: _Parser, command: str) -> _Parser:
-    """``parser`` with ``command``'s options and ``_COMMON``: the one place either parser
-    gets a command's options."""
-    parser.dests = {}
-    for opt in _OPTION_TABLES[command] + _COMMON:
-        parser.add_argument(f"--{opt.name}", default=None, help=opt.help)
-        parser.dests[f"--{opt.name}"] = opt.key
-    return parser
+# Each command's "--<name>" -> dest, for its options and _COMMON.
+_DESTS = {command: {f"--{opt.name}": opt.key for opt in table + _COMMON}
+          for command, table in _OPTION_TABLES.items()}
 
 
-def _exact_args(parser: _Parser, args: list) -> Optional[argparse.Namespace]:
-    """What ``parser.parse_args(args)`` returns when ``args`` are only exact
-    ``--<name> <value>`` pairs of ``parser``'s options and no value starts with "-":
-    every dest None, then the given values, the last of a repeated flag winning.
-    None for any other ``args``, which argparse reads, with its help and errors."""
-    if len(args) % 2:
+def _exact_args(argv: list) -> Optional[argparse.Namespace]:
+    """What ``_build_parser().parse_args(argv)`` returns when ``argv`` is a command
+    name followed only by exact ``--<name> <value>`` pairs of that command's options,
+    and no value starts with "-": the command, every dest None, then the given values,
+    the last of a repeated flag winning.  None for any other ``argv``, which argparse
+    reads, with its help and errors."""
+    dests = _DESTS.get(argv[0]) if argv else None
+    if dests is None or len(argv) % 2 == 0:
         return None
-    values = dict.fromkeys(parser.dests.values())
-    for flag, value in zip(args[::2], args[1::2]):
-        if flag not in parser.dests or value.startswith("-"):
+    values = dict.fromkeys(dests.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in dests or value.startswith("-"):
             return None
-        values[parser.dests[flag]] = value
-    return argparse.Namespace(**values)
+        values[dests[flag]] = value
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _write(path: Path, text: str, opened: list) -> None:
@@ -652,47 +648,30 @@ def _write(path: Path, text: str, opened: list) -> None:
         os.close(fd)
 
 
-def _build_parser(command: Optional[str] = None) -> _Parser:
-    """A named command's own flat parser, which reads the arguments after the name;
-    for anything else, the parser with all nine commands as subparsers."""
-    # argparse formats each option as it adds it, so a named command builds only its own.
-    if command in _OPTION_TABLES:
-        return _add_options(_Parser(prog=f"casebias {command}"), command)
+@functools.cache
+def _build_parser() -> _Parser:
+    """The parser with all nine commands as subparsers, built on first use and then
+    reused: parse_args only reads it, and help reads the terminal width when printed."""
     # --help shows the module docstring without its last paragraph (the domain policy).
     parser = _Parser(prog="casebias", description=(__doc__ or "").rpartition("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"casebias {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for name in _OPTION_TABLES:
-        _add_options(sub.add_parser(name, help=f"{name} outputs"), name)
+    for name, table in _OPTION_TABLES.items():
+        command = sub.add_parser(name, help=f"{name} outputs")
+        for opt in table + _COMMON:
+            command.add_argument(f"--{opt.name}", default=None, help=opt.help)
     return parser
-
-
-# One parser per command name, and one (None) with all nine for anything else.
-# parse_args only reads a parser, and help reads the terminal width when printed.
-_PARSERS: dict = {}
 
 
 def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _OPTION_TABLES else None
-    # The nine-command parser scans every argument for its own options first, and
-    # rejects "--=v" there as ambiguous (--help or --version); keep that message.
-    if command is not None and any(arg.startswith("--=") for arg in argv):
-        command = None
-    if command not in _PARSERS:
-        _PARSERS[command] = _build_parser(command)
-    parser = _PARSERS[command]
     try:
-        if command is None:
-            args = parser.parse_args(argv)
-            if args.command is None:
-                raise _CliError("a subcommand is required (see --help)")
-        else:  # parsed once: exact --name value pairs directly, the rest by argparse
-            args = _exact_args(parser, argv[1:])
-            if args is None:
-                args = parser.parse_args(argv[1:])
-            args.command = command
+        args = _exact_args(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
+        if args.command is None:
+            raise _CliError("a subcommand is required (see --help)")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             opts = _resolve(args, _OPTION_TABLES[args.command])

@@ -154,9 +154,9 @@ def _step_context(series: np.ndarray, f: float, rel_rate, meas: MeasurementModel
 
 
 def _warn_flagged(n_flagged: int) -> None:
-    """The warning of ``bias_curves`` and ``rt_gap``, at their caller, for flagged steps."""
+    """The warning of ``bias_curves`` and ``rt_gap`` for flagged steps."""
     if n_flagged:
-        notice(f"{n_flagged} steps flagged (zero shares or log-domain failures)", stacklevel=3)
+        notice(f"{n_flagged} steps flagged (zero shares or log-domain failures)")
 
 
 def _rt_error_series(shape, idx, ctx, susceptible, serial_interval, exact_susceptible):
@@ -206,6 +206,8 @@ def bias_curves(
     k_frac = traj.new_case_fraction
     ratio_series = k_frac if driver == "cases" else traj.prevalence[: k_frac.size]
     rel_rates = tuple(rel_rates)
+    if not rel_rates:
+        raise ValueError("rel_rates must be nonempty")
     grid = np.array(rel_rates, dtype=float).reshape(-1, 1)  # one row per M
     ratio_out = np.full((grid.size, k_frac.size), np.nan)
     m_idx = slice(None)  # every row; perfbench/selftest.py names the next line verbatim

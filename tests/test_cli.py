@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import errno
+import functools
+import importlib
 import io
 import json
 import math
@@ -1078,6 +1080,19 @@ def test_bias_curves_rejects_non_finite_relative_rate(tmp_path, capsys, value):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["bias-curves", "--horizon", "20"], "error: --f/--m-grid: rel_rates must be nonempty\n"),
+     (["neff", "--f", "0.026"], "error: --f/--m-grid/--ybar-grid: grids must be nonempty\n")],
+    ids=["bias-curves", "neff"],
+)
+def test_empty_m_grid_is_an_error_line(tmp_path, capsys, argv, err, value):
+    assert run(tmp_path, *argv, "--m-grid", value) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", err)
+
+
 SENSITIVITY_ARGS = ["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.172",
                     "--observed-prev", "0.325"]
 
@@ -1164,33 +1179,32 @@ def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def _fresh_parser(monkeypatch):
+    """``cli._build_parser`` with an empty cache of its own for the test; the module's
+    cached parser is put back after it."""
+    fresh = functools.cache(cli._build_parser.__wrapped__)
+    monkeypatch.setattr(cli, "_build_parser", fresh)
+    return fresh
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    return _fresh_parser(monkeypatch)
+
+
 @pytest.mark.parametrize("first", [None, "--help", "-h", "--version", "comp", "--out"])
-def test_parser_builds_every_subparser_without_a_command(first):
-    assert list(_subparsers(_build_parser(first))) == COMMANDS
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_parser_builds_only_the_named_subparser(monkeypatch, command):
-    # A named command's parser is its own flat parser; its help is the help of
-    # that command's subparser in the nine-command parser, byte for byte.
-    monkeypatch.setenv("COLUMNS", "80")
-    nested = _subparsers(_build_parser())[command]
-    assert _build_parser(command).format_help() == nested.format_help()
-
-
-class _NestedParse:
-    """The nested parse of a named command, behind the flat parser's interface:
-    the nine-command parser reads the command name and every argument after it."""
-
-    def __init__(self, command):
-        self.command, self.parser = command, _build_parser()
-
-    def parse_args(self, args):
-        return self.parser.parse_args([self.command, *args])
+def test_parser_builds_every_subparser_without_a_command(fresh_parser, first):
+    # An argv that does not start with a command name goes to the one parser,
+    # which holds all nine commands.
+    _surface([] if first is None else [first])
+    assert fresh_parser.cache_info().misses == 1
+    assert list(_subparsers(fresh_parser())) == COMMANDS
 
 
 COMPARE_ARGS = ["compare", "--n1", "328e6", "--n2", "38e6", "--f1", "0.023", "--f2", "0.023",
                 "--ybar1", "0.1", "--ybar2", "0.1"]
+# The same scenario in a form that only argparse reads.
+COMPARE_EQUALS = ["compare", "--n1=328e6", *COMPARE_ARGS[3:]]
 _SIR = ["sir", "--beta", "1.4", "--gamma-rec", "0.2", "--horizon", "3"]
 PARSE_CORPUS = {
     "help-after-command": ["compare", "-h"],
@@ -1274,15 +1288,14 @@ def _surface_and_files(monkeypatch, argv, workdir):
 
 
 @pytest.mark.parametrize("case", sorted(PARSE_CORPUS))
-def test_flat_parse_matches_the_nested_parse(tmp_path, monkeypatch, fresh_parsers, case):
+def test_flat_parse_matches_the_nested_parse(tmp_path, monkeypatch, fresh_parser, case):
     # Exit code, stdout, stderr and written files of each argv, read as main reads it
-    # (exact --name value pairs directly, the rest by the command's flat parser) and
-    # parsed twice through the nine-command parser.
+    # (exact --name value pairs flat, without argparse; the rest by the nine-command
+    # parser) and read by the nine-command parser alone.
     monkeypatch.setenv("COLUMNS", "80")
     argv = PARSE_CORPUS[case]
     flat = _surface_and_files(monkeypatch, argv, tmp_path / "flat")
-    fresh_parsers.update({command: _NestedParse(command) for command in COMMANDS})
-    monkeypatch.setattr(cli, "_exact_args", lambda parser, args: None)
+    monkeypatch.setattr(cli, "_exact_args", lambda argv: None)
     assert _surface_and_files(monkeypatch, argv, tmp_path / "nested") == flat
 
 
@@ -1325,19 +1338,18 @@ def _edge_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_edge_argv())
 def test_exact_pairs_read_as_argparse_reads_them(tmp_path, monkeypatch, argv):
-    # Where the exact path answers, its Namespace is the flat parser's; either way,
-    # main's exit code, stdout, stderr and files are those of argparse alone.
+    # Where the exact path answers, its Namespace is the nine-command parser's; either
+    # way, main's exit code, stdout, stderr and files are those of argparse alone.
     monkeypatch.setenv("COLUMNS", "80")
     (tmp_path / "strata.csv").write_text(STRATA)
     argv = [tok.replace("{tmp}", str(tmp_path)) for tok in argv]
-    parser = _build_parser(argv[0])
-    exact = cli._exact_args(parser, argv[1:])
+    exact = cli._exact_args(argv)
     if exact is not None:
-        assert exact == parser.parse_args(argv[1:])
+        assert exact == _build_parser().parse_args(argv)
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         got = _surface_and_files(monkeypatch, argv, Path(work) / "exact")
         with monkeypatch.context() as off:
-            off.setattr(cli, "_exact_args", lambda parser, args: None)
+            off.setattr(cli, "_exact_args", lambda argv: None)
             assert _surface_and_files(off, argv, Path(work) / "argparse") == got
 
 
@@ -1364,40 +1376,59 @@ def test_module_entry_point_reads_sys_argv(tmp_path, monkeypatch):
     assert done.stderr == ""
 
 
-@pytest.fixture
-def fresh_parsers(monkeypatch):
-    """An empty parser cache for the test; the module's own cache is put back after it."""
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    return cli._PARSERS
-
-
-def test_main_builds_each_parser_once(tmp_path, monkeypatch, fresh_parsers):
-    built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or
-                        build(command))
+def test_main_builds_each_parser_once(tmp_path, fresh_parser):
+    # Exact --name value pairs of a command build no parser.
     for _ in range(2):
         assert main([*COMPARE_ARGS, "--out", str(tmp_path)]) == 0
-    assert built == ["compare"]
-    # Anything but a command name shares the one parser that holds all nine.
-    for argv in (["comp"], ["x"], [], ["--out", "o"], ["-n"], ["Compare"]):
+    assert fresh_parser.cache_info()[:2] == (0, 0)  # (hits, misses): never called
+    # Every other argv shares the one parser that holds all nine, built once.
+    argvs = [["comp"], ["x"], [], ["--out", "o"], ["-n"], ["Compare"],
+             *([command, "--bogus"] for command in COMMANDS)]
+    for argv in argvs:
         assert main(argv) == 1
-    assert built == ["compare", None]
-    for command in COMMANDS:
-        main([command, "--bogus"])
-    assert sorted(built, key=str) == sorted([*COMMANDS, None], key=str)
-    assert set(fresh_parsers) == {*COMMANDS, None}
+    assert fresh_parser.cache_info()[:2] == (len(argvs) - 1, 1)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.skipif(not (PERFBENCH / "workloads.py").exists(), reason="perfbench/ is absent")
+def test_benchmark_cli_argv_is_read_without_argparse(tmp_path, monkeypatch):
+    # Every argv the cli-reports workload runs, on the seeds 1-10 its benchmark uses, is
+    # read by the exact path into the nine-command parser's Namespace; main builds no parser.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    parser = _build_parser()
+    fresh = _fresh_parser(monkeypatch)
+    read = []
+
+    def stop(args, table):  # record what main resolves, then fail before any command runs
+        read.append(args)
+        raise cli._CliError("stop")
+
+    monkeypatch.setattr(cli, "_resolve", stop)
+    for seed in range(1, 11):
+        (tmp_path / str(seed)).mkdir()
+        bench = workloads.CliReports(seed, "full", tmp_path / str(seed))
+        assert bench.commands
+        for label, argv in bench.commands:
+            full = [*argv, "--out", str(bench.out_root / label)]
+            assert cli._exact_args(full) is not None, (seed, label)
+            read.clear()
+            assert _surface(full) == {"stdout": "", "stderr": "error: stop\n", "status": 1}
+            assert read == [parser.parse_args(full)], (seed, label)
+    assert fresh.cache_info()[:2] == (0, 0)
 
 
 def _compare_json(out, *extra):
-    assert main([*COMPARE_ARGS, *extra, "--out", str(out)]) == 0
+    assert main([*COMPARE_EQUALS, *extra, "--out", str(out)]) == 0
     return (out / "compare.json").read_bytes()
 
 
 def test_a_cached_parser_carries_no_option_into_the_next_call(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _fresh_parser(monkeypatch)
     first_call = _compare_json(tmp_path / "first")
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _fresh_parser(monkeypatch)
     with_neff = _compare_json(tmp_path / "neff", "--neff1", "15", "--neff2", "20")
     assert "z_eff" in json.loads(with_neff)["outputs"]
     again = _compare_json(tmp_path / "again")
@@ -1412,34 +1443,34 @@ def test_a_cached_parser_carries_no_option_into_the_next_call(tmp_path, monkeypa
     ids=["unknown-option", "ambiguous-prefix", "missing-value", "domain", "neff-alone"],
 )
 def test_a_failed_call_leaves_the_cached_parser_unchanged(tmp_path, monkeypatch, failing):
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    want = _surface([*COMPARE_ARGS, "--out", str(tmp_path / "first")])
+    _fresh_parser(monkeypatch)
+    want = _surface([*COMPARE_EQUALS, "--out", str(tmp_path / "first")])
     first_call = (tmp_path / "first" / "compare.json").read_bytes()
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    _fresh_parser(monkeypatch)
     assert _surface([*failing, "--out", str(tmp_path / "failed")])["status"] == 1
     assert not (tmp_path / "failed").exists()
-    got = _surface([*COMPARE_ARGS, "--out", str(tmp_path / "again")])
+    got = _surface([*COMPARE_EQUALS, "--out", str(tmp_path / "again")])
     assert got == {**want, "stdout": want["stdout"].replace("first", "again")}
     assert (tmp_path / "again" / "compare.json").read_bytes() == first_call
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["sorted", "reversed"])
 def test_parser_surface_is_pinned_when_every_parser_is_reused(
-    tmp_path, monkeypatch, fresh_parsers, reverse
+    tmp_path, monkeypatch, fresh_parser, reverse
 ):
-    # Each case runs twice in one process, the second time on parsers that
-    # other cases built, in the other order.
+    # Each case runs twice in one process, the second time on the parser that
+    # another case built, in the other order.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     pinned = json.loads(SURFACE.read_text())
     order = sorted(SURFACE_CASES, reverse=reverse)
     for case in order + order[::-1]:
         assert _surface(SURFACE_CASES[case]) == pinned[case], case
-    assert len(fresh_parsers) <= 10
+    assert fresh_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("case", ["help", "compare-help"])
-def test_cached_parser_lays_out_help_for_the_width_at_print_time(monkeypatch, fresh_parsers, case):
+def test_cached_parser_lays_out_help_for_the_width_at_print_time(monkeypatch, fresh_parser, case):
     monkeypatch.setenv("COLUMNS", "200")
     wide = _surface(SURFACE_CASES[case])
     monkeypatch.setenv("COLUMNS", "80")

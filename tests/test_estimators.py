@@ -247,6 +247,16 @@ def test_bias_curves_rejects_unknown_driver():
         bias_curves(traj, 0.02, PERFECT_TEST, [2.0], 7.0, driver="wrong")
 
 
+@pytest.mark.parametrize("rel_rates", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_bias_curves_rejects_empty_rel_rates(rel_rates):
+    # An empty grid has no curve to compute, not an all-flagged one.
+    traj = sir_simulate(
+        SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, dt=0.1, horizon=10)
+    )
+    with pytest.raises(ValueError, match="^rel_rates must be nonempty$"):
+        bias_curves(traj, 0.02, PERFECT_TEST, rel_rates, 7.0)
+
+
 def test_estimate_relative_sampling_no_error():
     result = estimate_relative_sampling(0.2, 0.2, 0.01, MEAS_REF)
     assert result.delta == 0.0

@@ -2,12 +2,12 @@
 text, and the line it is attributed to.
 
 Each trigger below is a one-line lambda, so a notice attributed to the line that
-called the public function points at the lambda's own line.  ``neff_table``
-passes its grid to ``neff_bound``, so its notice points at that call inside
-``effsize.py``.
+called the public function points at the lambda's own line.  A notice raised by
+a public function that another one calls (``neff_bound`` inside ``neff_table``,
+``corrected_prevalence`` inside ``relative_mse_mc``) points at the line that
+called the outer function too.
 """
 import ast
-import inspect
 import os
 import warnings
 from pathlib import Path
@@ -23,10 +23,10 @@ from casebias import (
     SirTrajectory,
     bias_curves,
     corrected_prevalence,
-    effsize,
     ingest,
     neff_bound,
     neff_table,
+    relative_mse_mc,
     rt_gap,
     sir_simulate,
     survey_interval,
@@ -106,10 +106,23 @@ def test_notice_is_attributed_to_the_calling_line(tmp_path, name):
 
 
 def test_neff_table_notice_points_at_its_neff_bound_call(tmp_path):
-    source, first = inspect.getsourcelines(effsize.neff_table)
-    (offset,) = [i for i, text in enumerate(source) if "neff_bound(" in text]
-    notices = _notices(lambda tmp_path: neff_table([0.05, 0.1], [1.0], 0.026), tmp_path)
-    assert notices == [(RuntimeWarning, INFINITE, "effsize.py", first + offset)]
+    # The notice of the neff_bound call inside neff_table points at neff_table's caller.
+    trigger = lambda tmp_path: neff_table([0.05, 0.1], [1.0], 0.026)
+    line = trigger.__code__.co_firstlineno
+    assert _notices(trigger, tmp_path) == [(RuntimeWarning, INFINITE, HERE, line)]
+
+
+def test_relative_mse_mc_clamp_notices_point_at_the_calling_line(tmp_path):
+    # The corrected estimator clamps some replications through corrected_prevalence.
+    scenario = EffSizeScenario(0.01, 2.0, 0.02, CLAMP)
+    trigger = lambda tmp_path: relative_mse_mc(
+        scenario, EffSizeScenario(0.01, 2.0, 0.02), 10000, 200, 1, estimator="corrected")
+    line = trigger.__code__.co_firstlineno
+    notices = _notices(trigger, tmp_path)
+    assert notices
+    for category, message, filename, lineno in notices:
+        assert message.startswith("corrected prevalence ") and message.endswith("; clamping")
+        assert (category, filename, lineno) == (RuntimeWarning, HERE, line)
 
 
 def _warnings_use(tree):
