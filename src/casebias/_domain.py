@@ -3,11 +3,16 @@
 A domain is a ``(wording, test)`` pair.  Each test is written with ``&`` on
 comparisons, so NaN fails it and it works element-wise on arrays.  ``check``
 is the one place that applies a domain and words its failure:
-``<name> must <wording>, got <value>``, where an array's value is its first
-element outside the domain.  ``notice`` is the one place that reports a
-recoverable condition: a ``RuntimeWarning`` attributed to the first frame
-outside the ``casebias`` package, so a public function that calls another
-reports at the line that called the outer one.
+``<name> must <wording>, got <value>``, where an array's or a list's value
+is its first element outside the domain.  ``notice`` is the one place that
+reports a recoverable condition: a ``RuntimeWarning`` attributed to the first
+frame outside the ``casebias`` package, so a public function that calls
+another reports at the line that called the outer one.
+
+``rows`` is the one CSV row renderer: every table the package writes is a
+header plus the text of ``rows(row_format, columns)``, one ``%`` over one
+template (``bias_curves_csv`` calls it once per M block), and ``label`` is
+the one way a grid value becomes a CSV label that reads back.
 """
 from __future__ import annotations
 
@@ -52,16 +57,12 @@ SEED = Domain("be a non-negative integer", lambda x: x >= 0)
 DRIVER = Domain("be cases or prevalence", lambda x: x in ("cases", "prevalence"))
 
 
-def _all(ok) -> bool:
-    """``all`` for a bool or a bool array, without ``np.all``'s cost on scalars."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
-
-
 def check(name: str, value, domain: Domain):
     """``value`` if it lies in ``domain``, element-wise for arrays and lists."""
-    ok = all(map(domain.test, value)) if type(value) is list else domain.test(value)
-    if ok is not True and not _all(ok):  # True from a scalar test needs no _all
-        got = value[~ok][0] if isinstance(ok, np.ndarray) else value
+    ok = domain.test(np.array(value) if type(value) is list else value)
+    # A test gives a bool, a numpy bool or a bool array; .all() covers the last two.
+    if ok is not True and (ok is False or not ok.all()):
+        got = np.asarray(value)[~ok][0] if isinstance(ok, np.ndarray) else value
         raise ValueError(f"{name} must {domain.wording}, got {got}")
     return value
 
@@ -74,3 +75,21 @@ def notice(message: str) -> None:
     while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, RuntimeWarning, stacklevel=level)
+
+
+def rows(row_format: str, columns) -> str:
+    """``row_format % row`` for each row of the equal-length ``columns``, concatenated.
+
+    One ``%`` over ``row_format`` repeated once per row, on one interleaved cell
+    list, so no format call runs per row; columns of unequal length raise
+    ``ValueError``.
+    """
+    cells = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        cells[j::len(columns)] = column
+    return (row_format * len(columns[0])) % tuple(cells)
+
+
+def label(x) -> str:
+    """A grid value as a CSV label: ``{x:g}``, or ``repr`` where that would not read back as x."""
+    return short if float(short := f"{x:g}") == x else repr(float(x))

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from ._domain import (
     AT_LEAST_1, AT_LEAST_2, CORRELATION, DRIVER, ERROR_RATE, FINITE, FRACTION, NEFF,
-    NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE, SEED, TESTED_FRACTION, UNIT, Domain, check,
+    NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE, SEED, TESTED_FRACTION, UNIT, Domain, check, rows,
 )
 from .population import (
     DegenerateSampleError,
@@ -376,10 +376,9 @@ def _cmd_neff(opts: dict) -> _Run:
     meas = _meas(opts) if _together(opts, "fp", "fn") else None
     table = _named("--f/--m-grid/--ybar-grid", neff_table,
                    opts["ybar_grid"], opts["m_grid"], opts["f"], meas)
-    files = {"neff_table.csv": format_neff_table(table, opts["ybar_grid"], opts["m_grid"])}
-    if np.isinf(table).all():
-        return _Run(files, infeasible="every cell is infinite (equal-probability design)")
-    return _Run(files)
+    infeasible = "every cell is infinite (equal-probability design)"
+    return _Run({"neff_table.csv": format_neff_table(table, opts["ybar_grid"], opts["m_grid"])},
+                infeasible=infeasible if np.isinf(table).all() else None)
 
 
 def _trajectory(opts: dict, beta_key: str = "beta") -> SirTrajectory:
@@ -418,10 +417,9 @@ def _cmd_bias_curves(opts: dict) -> _Run:
         driver=opts["driver"],
         exact_susceptible=opts["exact_susceptible"],
     )
-    files = {"bias_curves.csv": bias_curves_csv(curves)}
-    if np.isnan(curves.ratio_bias[:, 1:]).all() and np.isnan(curves.rt_bias[:, 1:]).all():
-        return _Run(files, infeasible="every step flagged")
-    return _Run(files)
+    every = np.isnan(curves.ratio_bias[:, 1:]).all() and np.isnan(curves.rt_bias[:, 1:]).all()
+    return _Run({"bias_curves.csv": bias_curves_csv(curves)},
+                infeasible="every step flagged" if every else None)
 
 
 def _cmd_rt_gap(opts: dict) -> _Run:
@@ -435,10 +433,8 @@ def _cmd_rt_gap(opts: dict) -> _Run:
         rel_rate=opts["m"],
         serial_interval=opts["serial_interval"],
     )
-    files = {"rt_gap.csv": rt_gap_csv(gap)}
-    if len(gap.flagged) >= gap.steps.size - 1:
-        return _Run(files, infeasible="every step flagged")
-    return _Run(files)
+    every = len(gap.flagged) >= gap.steps.size - 1
+    return _Run({"rt_gap.csv": rt_gap_csv(gap)}, infeasible="every step flagged" if every else None)
 
 
 def _corrected(flags: str, share: float, meas: MeasurementModel) -> float:
@@ -552,9 +548,9 @@ def _cmd_allocate(opts: dict) -> _Run:
     strata = _read("strata", strata_from_csv, opts["strata"])
     alloc = neyman_allocation(strata, opts["n"])
     prop = proportional_allocation(strata, opts["n"])
-    lines = ["stratum_id,share,prevalence,neyman_n,proportional_n"]
-    for i, (s, n_h, p_h) in enumerate(zip(strata, alloc, prop)):
-        lines.append(f"{i},{s.share:.6g},{s.prevalence:.6g},{int(n_h)},{int(p_h)}")
+    table = "stratum_id,share,prevalence,neyman_n,proportional_n\n" + rows(
+        "%d,%.6g,%.6g,%d,%d\n", (range(len(strata)), [s.share for s in strata],
+                                 [s.prevalence for s in strata], alloc.tolist(), prop.tolist()))
     pooled = _total(s.share * s.prevalence for s in strata)
     outputs = {
         "neyman_variance": design_variance(strata, alloc),
@@ -565,7 +561,7 @@ def _cmd_allocate(opts: dict) -> _Run:
         outputs["srs_variance"] = _named(
             "--n/--population", srs_variance, pooled, opts["n"], opts["population"])
     outputs["srs_variance_wr"] = srs_variance(pooled, opts["n"], 0, fpc=False)
-    return _Run({"allocation.csv": "\n".join(lines) + "\n", "allocation.json": outputs})
+    return _Run({"allocation.csv": table, "allocation.json": outputs})
 
 
 def _cmd_mc_verify(opts: dict) -> _Run:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, TESTED_FRACTION, UNIT, check
+from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, TESTED_FRACTION, UNIT, check, rows
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
 from .estimators import InfeasibleScenarioError, _rt_error_series, _step_context, _warn_flagged
@@ -277,8 +277,5 @@ def rt_gap(
 def rt_gap_csv(gap: RtGap) -> str:
     """CSV rows step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap."""
     cols = (gap.true_a, gap.true_b, gap.est_a, gap.est_b, gap.true_gap, gap.est_gap)
-    cells = [None] * (7 * gap.steps.size)
-    for j, col in enumerate((gap.steps, *(c[gap.steps] for c in cols))):
-        cells[j::7] = col.tolist()
-    return ("step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap\n"
-            + ("%s,%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n" * gap.steps.size) % tuple(cells))
+    return "step,true_rt_A,true_rt_B,est_rt_A,est_rt_B,true_gap,est_gap\n" + rows(
+        "%s" + ",%.6g" * 6 + "\n", [gap.steps.tolist(), *(c[gap.steps].tolist() for c in cols)])

@@ -261,16 +261,21 @@ def corrected_prevalence(
     rather than silently truncated; a non-finite input raises ValueError.
     """
     check("observed prevalence", ybar_star, FINITE)
+    value, raw = _corrected(ybar_star, meas, method)
+    if value != raw:
+        notice(f"corrected prevalence {raw:.6g} outside [0, 1]; clamping")
+    return value
+
+
+def _corrected(ybar_star: float, meas: MeasurementModel, method: str = "linear") -> tuple:
+    """``corrected_prevalence`` with no check and no notice: (value clamped to [0, 1], value)."""
     if method == "linear":
-        value = ybar_star + meas.fn * ybar_star - meas.fp * (1.0 - ybar_star)
+        raw = ybar_star + meas.fn * ybar_star - meas.fp * (1.0 - ybar_star)
     elif method == "inverse":
-        value = (ybar_star - meas.fp) / (1.0 - meas.fp - meas.fn)
+        raw = (ybar_star - meas.fp) / (1.0 - meas.fp - meas.fn)
     else:
         raise ValueError(f"unknown correction method {method!r}")
-    if not 0.0 <= value <= 1.0:
-        notice(f"corrected prevalence {value:.6g} outside [0, 1]; clamping")
-        value = min(1.0, max(0.0, value))
-    return float(value)
+    return float(min(max(raw, 0.0), 1.0)), raw  # max(raw, 0.0) keeps a -0.0 raw
 
 
 def contaminated_prevalence(ybar: float, meas: MeasurementModel) -> float:

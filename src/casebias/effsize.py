@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION
-from ._domain import check, notice
+from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, TINY
+from ._domain import check, label, notice, rows
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
-from .decomposition import corrected_prevalence, d_m, meas_adjustment
+from .decomposition import _corrected, d_m, meas_adjustment
 
 __all__ = [
     "EffSizeScenario",
@@ -86,8 +86,9 @@ def neff_bound(scenario: EffSizeScenario) -> float:
 
     Infinite where rho * D_M is 0, as under equal-probability sampling, or
     where the bound exceeds a double; one warning per call covers every
-    infinite cell.  A cell whose nonzero rho * D_M squares to 0 (M within
-    ~1e-12 of 1 at a tiny f) takes the scale-free form
+    infinite cell.  A cell whose nonzero rho * D_M squares below the smallest
+    normal double (to a subnormal or to 0, as for M within ~1e-12 of 1 at a
+    tiny f) takes the scale-free form
     ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2).  A scalar scenario gives a float.
     """
     sel, ybar, f = scenario.selection, scenario.ybar, scenario.f
@@ -98,7 +99,8 @@ def neff_bound(scenario: EffSizeScenario) -> float:
     square = np.float_power(scale, 2)
     with np.errstate(divide="ignore", over="ignore"):
         bound = f / (1.0 - f) / square
-    lost = (square == 0.0) & (scale != 0.0)  # a nonzero rho * D_M whose square underflows
+    # A nonzero rho * D_M whose square underflows to a subnormal or to 0 loses bits.
+    lost = (square < TINY) & (scale != 0.0)
     if np.any(lost):
         # The scale-free form (f/Delta)^2 / (Ybar(1-Ybar) D_M^2), f/Delta = (Ybar(M-1)+1)/(M-1),
         # squares no tiny number.
@@ -131,18 +133,16 @@ def format_neff_table(
     ybar_grid: Sequence[float],
     rel_rate_grid: Sequence[float],
 ) -> str:
-    """CSV rendering with two-decimal cells, prevalence down, M across."""
-    lines = ["ybar," + ",".join(map(_label, rel_rate_grid))]
-    for ybar, row in zip(ybar_grid, table):
-        cells = ",".join(f"{v:.2f}" for v in row)
-        lines.append(f"{_label(ybar)},{cells}")
-    return "\n".join(lines) + "\n"
+    """CSV rendering with two-decimal cells, prevalence down, M across.
 
-
-def _label(x) -> str:
-    """A grid value as a CSV label: ``{x:g}``, or ``repr`` where that would not read back as x."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(float(x))
+    ``table`` must have one row per prevalence and one column per M.
+    """
+    shape = (len(ybar_grid), len(rel_rate_grid))
+    if np.shape(table) != shape:
+        raise ValueError(f"table shape {np.shape(table)} does not match the grids {shape}")
+    columns = [list(map(label, ybar_grid)), *np.transpose(table).tolist()]
+    return "ybar," + ",".join(map(label, rel_rate_grid)) + "\n" + rows(
+        "%s" + ",%.2f" * shape[1] + "\n", columns)
 
 
 def mse_vs_srs(size: int, exp_rho_sq: float) -> float:
@@ -230,6 +230,8 @@ def relative_mse_mc(
     squares the means and returns (ratio, standard_error), the error propagated
     from the two means.  Agrees with ``relative_mse(..., adjustment="expectation")``
     within Monte Carlo noise.  ``seed`` may be an int, a SeedSequence or a Generator.
+    The corrected estimator clamps each replication's estimate to [0, 1] as
+    ``corrected_prevalence`` does, with one notice per call counting the clamped ones.
     """
     _check_shared(with_meas, without)
     meas = with_meas.meas or PERFECT_TEST
@@ -237,17 +239,23 @@ def relative_mse_mc(
     pop = PopulationCounts(size, int(round(with_meas.ybar * size)))
     sel = with_meas.selection
 
+    clamped = []  # per usable replication: whether its corrected estimate was clamped
     if estimator == "uncorrected":
         func = "error"
     elif estimator == "corrected":
         def func(p, s):
-            return corrected_prevalence(s.ybar_star, meas) - p.prevalence
+            value, raw = _corrected(s.ybar_star, meas)
+            clamped.append(value != raw)
+            return value - p.prevalence
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
 
     # Both estimates draw from one generator, so any seed form works.
     rng = np.random.default_rng(seed)
     num = mc_expectation(pop, sel, meas, func, replications, rng)
+    if any(clamped):
+        notice(f"corrected prevalence outside [0, 1] in {sum(clamped)} of {len(clamped)} "
+               "replications; clamping")
     den = mc_expectation(pop, sel, PERFECT_TEST, "error", replications, rng)
     ratio = (num.mean / den.mean) ** 2
     # Delta method on the squared ratio.

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._domain import INTEGER_AT_LEAST_1, NON_NEGATIVE, POSITIVE, check, notice
+from ._domain import INTEGER_AT_LEAST_1, NON_NEGATIVE, POSITIVE, check, notice, rows
 
 __all__ = [
     "SirParams",
@@ -209,10 +209,7 @@ def trajectory_csv(traj: SirTrajectory) -> str:
     Each row carries the state at the start of the step and the new cases
     produced during it.
     """
-    n = traj.new_cases.size
     cols = (traj.times, traj.susceptible, traj.infected, traj.removed, traj.new_cases,
             traj.prevalence)
-    cells = [None] * (6 * n)
-    for j, col in enumerate(cols):
-        cells[j::6] = col[:n].tolist()
-    return "time,S,I,R,K,prevalence\n" + ("%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n" * n) % tuple(cells)
+    return "time,S,I,R,K,prevalence\n" + rows(
+        "%.6g,%.6g,%.6g,%.6g,%.6g,%.6g\n", [c[:traj.new_cases.size].tolist() for c in cols])

@@ -19,10 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check, notice
+from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check, label
+from ._domain import notice, rows
 from .population import MeasurementModel, SelectionModel
 from .decomposition import _flip_mass, corrected_prevalence, d_m
-from .effsize import _label, binary_rho
+from .effsize import binary_rho
 from .epidemic import SirTrajectory
 
 __all__ = [
@@ -234,13 +235,12 @@ def bias_curves(
 
 def bias_curves_csv(curves: BiasCurves) -> str:
     """CSV rows step,M,ratio_bias,rt_bias (NaN cells rendered as nan)."""
+    # One block per M, its label formatted once into the block's row template.
     steps = curves.steps.tolist()
-    cells = [None] * (3 * len(steps) * len(curves.rel_rates))
-    cells[0::3] = steps * len(curves.rel_rates)
-    cells[1::3] = curves.ratio_bias[:, curves.steps].ravel().tolist()
-    cells[2::3] = curves.rt_bias[:, curves.steps].ravel().tolist()
-    template = "".join(f"%s,{_label(m)},%.6g,%.6g\n" * len(steps) for m in curves.rel_rates)
-    return "step,M,ratio_bias,rt_bias\n" + template % tuple(cells)
+    ratio, rt = (c[:, curves.steps].tolist() for c in (curves.ratio_bias, curves.rt_bias))
+    return "step,M,ratio_bias,rt_bias\n" + "".join(
+        rows(f"%s,{label(m)},%.6g,%.6g\n", (steps, r, t))
+        for m, r, t in zip(curves.rel_rates, ratio, rt))
 
 
 def exp_smooth(series: Sequence[float], alpha: float) -> np.ndarray:
@@ -389,6 +389,7 @@ def survey_interval(p_raw: float, n: int, z: float = 2.0) -> tuple:
     """
     check("p_raw", p_raw, OPEN_UNIT)
     check("n", n, AT_LEAST_2)
+    check("z", z, POSITIVE)
     half = z * math.sqrt(p_raw * (1.0 - p_raw) / n)
     lo, hi = p_raw - half, p_raw + half
     if lo < 0.0 or hi > 1.0:

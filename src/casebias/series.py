@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import notice
+from ._domain import notice, rows
 
 __all__ = ["CaseCountSeries", "ingest", "series_csv"]
 
@@ -119,8 +119,6 @@ def ingest(path, cumulative: bool = False) -> CaseCountSeries:
 
 
 def series_csv(series: CaseCountSeries) -> str:
-    """Render a series back to its ingestion schema."""
-    lines = ["date,total_tests,positive_tests"]
-    for day, total, positive in zip(series.dates, series.total_tests, series.positive_tests):
-        lines.append(f"{day.isoformat()},{int(total)},{int(positive)}")
-    return "\n".join(lines) + "\n"
+    """Render a series back to its ingestion schema; ``str`` of a date is its ISO form."""
+    return "date,total_tests,positive_tests\n" + rows(
+        "%s,%d,%d\n", (series.dates, series.total_tests.tolist(), series.positive_tests.tolist()))

@@ -1097,6 +1097,23 @@ SENSITIVITY_ARGS = ["sensitivity", "--f", "0.001", "--fp", "0.005", "--fn", "0.1
                     "--observed-prev", "0.325"]
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["neff", "--f", "0.02", "--m-grid", "1,-2"],
+      "error: --m-grid must be finite and positive, got -2.0\n"),
+     (["neff", "--f", "0.02", "--ybar-grid", "0.1,nan"],
+      "error: --ybar-grid must lie strictly in (0, 1), got nan\n"),
+     ([*SENSITIVITY_ARGS, "--survey-prev", "0.159", "--fp-range", "0.01,1.5",
+       "--fn-range", "0.1,0.2"], "error: --fp-range must lie in [0, 1), got 1.5\n")],
+    ids=["m-grid", "ybar-grid", "fp-range"],
+)
+def test_a_list_option_names_its_first_value_outside_the_domain(tmp_path, capsys, argv, err):
+    # The whole list was printed: got [1.0, -2.0].
+    assert run(tmp_path, *argv) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.2", "1.5"])
 def test_sensitivity_rejects_alpha_outside_unit_interval(tmp_path, capsys, value):
     # --alpha is checked even on the direct path, which does not smooth.

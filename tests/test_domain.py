@@ -64,7 +64,7 @@ def test_every_domain_rejects_nan_as_scalar_and_in_arrays(domain):
         _domain.check("x", NAN, domain)
     with pytest.raises(ValueError, match=r", got nan$"):
         _domain.check("x", np.array([inside, NAN]), domain)
-    with pytest.raises(ValueError, match=r", got \[.* nan\]$"):
+    with pytest.raises(ValueError, match=r", got nan$"):
         _domain.check("x", [inside, NAN], domain)
 
 

@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from casebias import (
     relative_mse,
     relative_mse_mc,
 )
-from casebias._domain import TINY
+from casebias._domain import TINY, label
 from casebias.decomposition import meas_adjustment
-from casebias.effsize import _label, _scenario_error
+from casebias.effsize import _scenario_error
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
 
@@ -269,14 +270,19 @@ def test_relative_mse_mc_seed_forms():
 
 
 def reference_neff_bound(ybar, m, f, meas=None):
-    """One cell as the per-cell loop computed it, on Python floats."""
+    """One cell as the per-cell loop computed it, on Python floats.
+
+    A nonzero rho * D_M whose square is below the smallest normal double takes
+    the scale-free form ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2)."""
     sel = SelectionModel.from_relative_rate(f, m, ybar)
     rho = binary_rho(sel.delta, ybar, f)
-    if rho == 0.0:
-        return math.inf
     adj = 1.0
     if meas is not None and not meas.is_perfect:
         adj = d_m(sel, meas, ybar)
+    if rho * adj == 0.0:
+        return math.inf
+    if (rho * adj) ** 2 < TINY:
+        return ((ybar * (m - 1.0) + 1.0) / (m - 1.0)) ** 2 / (ybar * (1.0 - ybar) * adj**2)
     return float(f / (1.0 - f) / (rho * adj) ** 2)
 
 
@@ -457,6 +463,38 @@ def test_neff_cell_whose_square_underflows_takes_the_scale_free_bound():
     assert table[0, 1] == 9.0 == math.floor(reference_neff_bound(0.5, 2.0, 1e-300))
 
 
+def subnormal_square_cells():
+    """(scenario inputs, bound) of every cell of the seeded grids whose nonzero
+    rho * D_M squares below the smallest normal double."""
+    rng = np.random.default_rng(20260)
+    cells = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(2400):
+            ybar, rel_rate, f, meas = random_neff_grid(rng)
+            sc = EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), f, meas)
+            adj = d_m(sc.selection, meas or PERFECT_TEST, sc.ybar) * np.ones_like(sc.delta)
+            scale = binary_rho(sc.delta, sc.ybar, f) * adj
+            bound = neff_bound(sc)
+            for i, j in zip(*np.nonzero((scale != 0.0) & (scale**2 < TINY))):
+                cells.append((ybar[i], rel_rate[j], f, adj[i, j], bound[i, j]))
+    return cells
+
+
+def test_neff_bound_is_exact_where_the_square_is_subnormal():
+    # f^2 / (Delta^2 Ybar(1-Ybar) D_M^2) in exact arithmetic, with
+    # Delta = f (M-1) / (Ybar(M-1)+1); the plain form was off by up to 4.0e-11 relative.
+    cells = subnormal_square_cells()
+    assert len(cells) >= 2000
+    worst = 0.0
+    for ybar, m, f, adj, bound in cells:
+        ybar, m, f, adj = map(Fraction, (ybar, m, f, adj))
+        delta = f * (m - 1) / (ybar * (m - 1) + 1)
+        exact = f**2 / (delta**2 * ybar * (1 - ybar) * adj**2)
+        worst = max(worst, abs(float((Fraction(bound) - exact) / exact)))
+    assert worst < 1e-14, worst
+
+
 def test_an_infinite_neff_cell_needs_a_zero_scale_or_a_bound_past_the_largest_double():
     ybar = [1e-300, 1e-12, 0.016, 0.5, 0.9]
     rel_rate = [1.0, 1.0 + 2.0**-52, 1.000000000001, 1.0 + 1e-9, 1.0 - 1e-12, 0.5, 2.0]
@@ -493,6 +531,6 @@ def test_grid_labels_read_back_as_the_grid_values():
     assert lines[0] == "ybar,1.2,1.2000001,1.000000000001,2"
     assert [float(line.split(",")[0]) for line in lines[1:-1]] == ybar_grid
     for x in [0.016, 1.2, 2.0, 1e-7, 0.125, 3, np.float64(1.6), math.inf]:
-        assert _label(x) == f"{x:g}"
-    assert _label(math.nan) == "nan"
-    assert _label(np.float64(1.2000001)) == "1.2000001"
+        assert label(x) == f"{x:g}"
+    assert label(math.nan) == "nan"
+    assert label(np.float64(1.2000001)) == "1.2000001"

@@ -408,6 +408,13 @@ def test_survey_interval_clamps_and_flags():
         survey_interval(0.139, 3000)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -2.0])
+def test_survey_interval_rejects_z_outside_its_domain(z):
+    # A NaN z gave (nan, nan) and a negative one the inverted (0.6, 0.4).
+    with pytest.raises(ValueError, match=rf"^z must be finite and positive, got {z}$"):
+        survey_interval(0.5, 100, z=z)
+
+
 def test_period_stats_accept_an_infinite_cv():
     # A share that underflows toward 0, as in a long SIR tail, has cv = inf; bias_curves
     # flags such a step rather than rejecting the run.

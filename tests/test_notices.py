@@ -125,6 +125,20 @@ def test_relative_mse_mc_clamp_notices_point_at_the_calling_line(tmp_path):
         assert (category, filename, lineno) == (RuntimeWarning, HERE, line)
 
 
+def test_relative_mse_mc_reports_one_clamp_notice_with_the_count():
+    # 181 of the 2000 corrected estimates leave [0, 1]; one notice per
+    # replication gave 181 notices, 106 of them distinct.  The result keeps its bits.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = relative_mse_mc(EffSizeScenario(0.01, 2.0, 0.02, MeasurementModel(0.05, 0.1)),
+                              EffSizeScenario(0.01, 2.0, 0.02), 10000, 2000, 1,
+                              estimator="corrected")
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        RuntimeWarning,
+        "corrected prevalence outside [0, 1] in 181 of 2000 replications; clamping")]
+    assert got == (float.fromhex("0x1.70d8ed190642fp+1"), float.fromhex("0x1.89e3cd7430ea5p-3"))
+
+
 def _warnings_use(tree):
     """Whether ``tree`` imports ``warnings``, and the enclosing function of each
     ``warnings.warn(...)`` call in it."""
@@ -153,3 +167,24 @@ def test_only_domain_notice_calls_warnings_warn():
     assert {name for name, (imports, _) in use.items() if imports} == {"_domain.py", "cli.py"}
     assert {name: callers for name, (_, callers) in use.items() if callers} == {
         "_domain.py": ["notice"]}
+
+
+def _csv_text_builds(tree):
+    """The lines of ``tree`` that apply ``% tuple(...)`` or call ``"\\n".join(...)``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Call) and isinstance(node.right.func, ast.Name)
+        and node.right.func.id == "tuple"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+        and node.func.value.value == "\n"
+    ]
+
+
+def test_only_domain_rows_builds_csv_text():
+    # _domain.rows is the one CSV row renderer; every table the package writes goes through it.
+    package = Path(casebias.__file__).parent
+    builds = {path.name: _csv_text_builds(ast.parse(path.read_text()))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: len(lines) for name, lines in builds.items() if lines} == {"_domain.py": 1}
