@@ -13,6 +13,9 @@ another reports at the line that called the outer one.
 header plus the text of ``rows(row_format, columns)``, one ``%`` over one
 template (``bias_curves_csv`` calls it once per M block), and ``label`` is
 the one way a grid value becomes a CSV label that reads back.
+
+``float_or_array`` is the one "scalars give floats" rule: a formula's result
+stays an array when it is one and becomes a Python float otherwise.
 """
 from __future__ import annotations
 
@@ -88,6 +91,11 @@ def rows(row_format: str, columns) -> str:
     for j, column in enumerate(columns):
         cells[j::len(columns)] = column
     return (row_format * len(columns[0])) % tuple(cells)
+
+
+def float_or_array(value):
+    """``value`` if it is an array, else ``float(value)``."""
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 def label(x) -> str:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import ERROR_RATE, FINITE, INTEGER_AT_LEAST_1, OPEN_UNIT, POSITIVE, TESTED_FRACTION
-from ._domain import check, notice
+from ._domain import ERROR_RATE, FINITE, INTEGER_AT_LEAST_1, NON_NEGATIVE, OPEN_UNIT, POSITIVE
+from ._domain import TESTED_FRACTION, UNIT, check, float_or_array, notice
 from .population import (
     EmpiricalStats,
     FinitePopulation,
@@ -81,13 +81,11 @@ class AdjustmentFactors:
     d_m: float
 
 
-def _float_or_array(value):
-    return value if isinstance(value, np.ndarray) else float(value)
-
-
 def selection_error(rho_iy: float, f: float, sigma_y: float) -> float:
     """Error of the sample mean: data quality x data quantity x difficulty."""
+    check("rho_iy", rho_iy, FINITE)
     check("sampling fraction", f, TESTED_FRACTION)
+    check("sigma_y", sigma_y, NON_NEGATIVE)
     return rho_iy * np.sqrt((1.0 - f) / f) * sigma_y
 
 
@@ -113,14 +111,16 @@ def imperfect_error(
     sigma_y : optional override of sqrt(ybar*(1-ybar)); used with empirical
         inputs where the population difficulty is known exactly.
     """
+    check("ybar", ybar, UNIT)
     check("sampling fraction", f, TESTED_FRACTION)
+    check("rho_iy", rho_iy, FINITE)
     if sigma_y is None:
         sigma_y = np.sqrt(ybar * (1.0 - ybar))
     dq = rho_iy * sigma_y
     inter = rho_ipz * sigma_pz
     bias = np.sqrt(f / (1.0 - f)) * (fp - (fp + fn) * ybar)
     total = np.sqrt((1.0 - f) / f) * (dq + inter + bias)
-    return ErrorDecomposition(*map(_float_or_array, (dq, inter, bias, total, f)))
+    return ErrorDecomposition(*map(float_or_array, (dq, inter, bias, total, f)))
 
 
 def decompose_realization(pop: PopulationCounts, stats: EmpiricalStats) -> ErrorDecomposition:
@@ -166,6 +166,7 @@ def sigma_pz_analytic(ybar: float, meas: MeasurementModel, exact: bool = False) 
     mix = FP(1-Ybar)+FN*Ybar and mean_PZ = FP(1-Ybar)-FN*Ybar, which is what
     the empirical standard deviation converges to.
     """
+    check("ybar", ybar, UNIT)
     mix = _flip_mass(meas, ybar)
     if exact:
         mean_pz = meas.fp * (1.0 - ybar) - meas.fn * ybar
@@ -194,6 +195,7 @@ def rho_ipz_from_rho_iy(
     (the scenario brackets ``meas_adjustment``/``d_m`` follow a different,
     scenario-level convention and are not consistent with this coefficient).
     """
+    check("rho_iy", rho_iy, FINITE)
     check("ybar", ybar, OPEN_UNIT)
     check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
     sigma_pz = sigma_pz_analytic(ybar, meas, exact=True)
@@ -208,7 +210,7 @@ def _bracket(base: float, sel: SelectionModel, meas: MeasurementModel, ybar):
     """base - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f, elementwise."""
     check("ybar", ybar, ERROR_RATE)
     f = check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
-    return _float_or_array(base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f)
+    return float_or_array(base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f)
 
 
 def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
@@ -222,6 +224,7 @@ def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) ->
 
 def meas_adjustment_rel(rel_rate: float, meas: MeasurementModel, ybar: float) -> float:
     """Relative-rate form of the adjustment; depends only on (M, Ybar, FP, FN)."""
+    check("rel_rate", rel_rate, POSITIVE)
     check("ybar", ybar, ERROR_RATE)
     mix = _flip_mass(meas, ybar)
     return float(
@@ -280,6 +283,7 @@ def _corrected(ybar_star: float, meas: MeasurementModel, method: str = "linear")
 
 def contaminated_prevalence(ybar: float, meas: MeasurementModel) -> float:
     """Expected observed fraction under equal-probability sampling."""
+    check("ybar", ybar, UNIT)
     return ybar * (1.0 - meas.fn) + (1.0 - ybar) * meas.fp
 
 
@@ -291,5 +295,6 @@ def trial_effect_bias(beta1: float, exp_rho_iu: float, f: float, sigma_u: float)
     ``selection_error``; under this convention the bias grows with the recruited
     fraction.
     """
+    check("beta1", beta1, FINITE)
     check("sampling fraction", f, OPEN_UNIT)
     return float(beta1 * exp_rho_iu * np.sqrt(f / (1.0 - f)) * sigma_u)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, TINY
-from ._domain import check, label, notice, rows
+from ._domain import check, float_or_array, label, notice, rows
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
 from .decomposition import _corrected, d_m, meas_adjustment
@@ -77,8 +77,7 @@ def binary_rho(delta: float, ybar: float, f: float) -> float:
     """Binary-outcome data quality Delta * sqrt(Ybar(1-Ybar)/(f(1-f))), elementwise."""
     check("ybar", ybar, OPEN_UNIT)
     check("f", f, TESTED_FRACTION)
-    rho = delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
-    return rho if isinstance(rho, np.ndarray) else float(rho)
+    return float_or_array(delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f))))
 
 
 def neff_bound(scenario: EffSizeScenario) -> float:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check, label
-from ._domain import notice, rows
+from ._domain import float_or_array, notice, rows
 from .population import MeasurementModel, SelectionModel
 from .decomposition import _flip_mass, corrected_prevalence, d_m
 from .effsize import binary_rho
@@ -74,8 +74,7 @@ class TwoPeriodContext:
 
 def error_level(p: PeriodStats) -> float:
     """Relative error level rho * D_M * sqrt((1-f)/f) * CV of one period."""
-    e = p.rho * p.d_m * np.sqrt((1.0 - p.f) / p.f) * p.cv
-    return e if isinstance(e, np.ndarray) else float(e)
+    return float_or_array(p.rho * p.d_m * np.sqrt((1.0 - p.f) / p.f) * p.cv)
 
 
 def ratio_bias(ctx: TwoPeriodContext) -> float:
@@ -139,8 +138,7 @@ def period_stats_analytic(
     sel = SelectionModel.from_relative_rate(f, rel_rate, ybar)
     rho = binary_rho(sel.delta, ybar, f)
     adj = d_m(sel, meas, ybar)
-    cv = np.sqrt((1.0 - ybar) / ybar)
-    cv = cv if isinstance(cv, np.ndarray) else float(cv)
+    cv = float_or_array(np.sqrt((1.0 - ybar) / ybar))
     return PeriodStats(rho=rho, d_m=adj, f=f, cv=cv, ybar=ybar)
 
 

@@ -11,8 +11,9 @@ A population enters the count layer only through its size N and its number
 of positives: ``PopulationCounts(size, total)`` holds those two and derives
 ``prevalence`` = total / N and ``sigma_y`` = sqrt(prev * (1 - prev)), once.
 ``FinitePopulation`` is a ``PopulationCounts`` built from an outcome vector,
-which it keeps with its positive mask; two are equal when their outcomes
-are.  ``stats_from_counts``, ``mc_expectation`` and
+which it keeps read-only with its positive mask, a bool view of the same
+bytes (one byte per individual); two are equal when their outcomes are.
+``stats_from_counts``, ``mc_expectation`` and
 ``decomposition.decompose_realization`` take either, so they run at any N;
 ``realize`` and the replays below place individuals and need the vector.
 
@@ -107,7 +108,11 @@ class PopulationCounts:
 
 @dataclass(frozen=True)
 class FinitePopulation(PopulationCounts):
-    """Fixed binary disease indicators for N individuals, with their counts and positive mask."""
+    """Fixed binary disease indicators for N individuals, with their counts and positive mask.
+
+    ``outcomes`` is a read-only int8 0/1 vector; ``positive`` is a read-only bool view
+    of its bytes, not a copy, so the pair costs one byte per individual.
+    """
 
     size: int = field(init=False)
     total: int = field(init=False)
@@ -121,10 +126,9 @@ class FinitePopulation(PopulationCounts):
         if not (arr.view(np.uint8) <= 1).all():  # -1..-128 read as 255..128
             raise ValueError("outcomes must be 0/1")
         arr.flags.writeable = False
-        positive = arr == 1
-        positive.flags.writeable = False
         object.__setattr__(self, "outcomes", arr)
-        object.__setattr__(self, "positive", positive)
+        # The 0/1 bytes checked above read as False/True; a view of read-only arr is read-only.
+        object.__setattr__(self, "positive", arr.view(np.bool_))
         object.__setattr__(self, "size", arr.size)
         object.__setattr__(self, "total", int(arr.sum()))
         super().__post_init__()

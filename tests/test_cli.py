@@ -1157,14 +1157,31 @@ def test_sensitivity_accepts_alpha_at_one(tmp_path):
     assert (tmp_path / "sensitivity.json").exists()
 
 
+# Import-time work of the CLI, seen from a fresh interpreter: which modules it loads
+# beyond numpy's, the threads it starts and the parsers it builds.
+IMPORT_PROBE = """
+import json, sys, numpy.random
+before = set(sys.modules)
+import casebias.cli as cli
+loaded = set(sys.modules) - before
+import threading
+print(json.dumps({
+    "scipy": "scipy" in sys.modules,
+    "foreign": sorted(name for name in loaded if name.partition(".")[0] != "casebias"
+                      and name.partition(".")[0] not in sys.stdlib_module_names),
+    "threads": threading.active_count(),
+    "parsers": cli._build_parser.cache_info().currsize,
+}))
+"""
+
+
 def test_cli_import_does_not_load_scipy():
-    code = "import sys, casebias.cli; print('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert json.loads(done.stdout) == {"scipy": False, "foreign": [], "threads": 1, "parsers": 0}
 
 
 def _surface(argv):

@@ -344,3 +344,37 @@ def test_verify_identity_rejects_no_replications():
     pop = make_population(100, 0.2, seed=1)
     with pytest.raises(ValueError, match="replications"):
         verify_identity(pop, SelectionModel(0.1, 0.2), MEAS_REF, 0, seed=1)
+
+
+# A valid call of each public formula, by keyword, and the arguments checked where they enter.
+ENTRY_CALLS = {
+    "selection_error": (selection_error, dict(rho_iy=0.01, f=0.02, sigma_y=0.3)),
+    "imperfect_error": (imperfect_error, dict(ybar=0.1, f=0.02, rho_iy=0.04, rho_ipz=-0.01,
+                                              sigma_pz=0.05, fp=0.01, fn=0.1)),
+    "sigma_pz_analytic": (sigma_pz_analytic, dict(ybar=0.1, meas=MEAS_REF)),
+    "contaminated_prevalence": (contaminated_prevalence, dict(ybar=0.1, meas=MEAS_REF)),
+    "rho_ipz_from_rho_iy": (rho_ipz_from_rho_iy, dict(rho_iy=0.04, sel=SelectionModel(0.02, 0.05),
+                                                      meas=MEAS_REF, ybar=0.1)),
+    "meas_adjustment_rel": (meas_adjustment_rel, dict(rel_rate=2.0, meas=MEAS_REF, ybar=0.1)),
+    "trial_effect_bias": (trial_effect_bias, dict(beta1=0.5, exp_rho_iu=0.1, f=0.3, sigma_u=1.0)),
+}
+ENTRY_CHECKS = [
+    ("selection_error", "rho_iy"),
+    ("selection_error", "sigma_y"),
+    ("imperfect_error", "ybar"),
+    ("imperfect_error", "rho_iy"),
+    ("sigma_pz_analytic", "ybar"),
+    ("contaminated_prevalence", "ybar"),
+    ("rho_ipz_from_rho_iy", "rho_iy"),
+    ("meas_adjustment_rel", "rel_rate"),
+    ("trial_effect_bias", "beta1"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("func, name", ENTRY_CHECKS, ids=[f"{f}-{a}" for f, a in ENTRY_CHECKS])
+def test_formulas_refuse_non_finite_input_naming_the_argument(func, name, bad):
+    call, kwargs = ENTRY_CALLS[func]
+    call(**kwargs)
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        call(**dict(kwargs, **{name: bad}))

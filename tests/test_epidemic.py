@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from casebias import (
     PeakTimes,
@@ -98,6 +99,49 @@ def test_step_halving_stability():
         (coarse.removed, fine.removed[::2]),
     ):
         assert np.abs(a - b).max() < 1e-6 * 1e6
+
+
+# The analytic oracle: two exact properties of the SIR flow (N = 1e6, I0 = 100, R0 = 0).
+def _flow(beta, gamma, dt, t_end):
+    return sir_simulate(SirParams(beta=beta, gamma_rec=gamma, size=1e6, s0=1e6 - 100.0,
+                                  i0=100.0, dt=dt, horizon=round(t_end / dt)))
+
+
+def _integral_drift(beta, gamma, dt):
+    """Largest drift over t in [0, 40] of the first integral S + I - (gamma/beta) N ln S, per N."""
+    traj = _flow(beta, gamma, dt, 40.0)
+    h = traj.susceptible + traj.infected - gamma / beta * traj.size * np.log(traj.susceptible)
+    return np.abs(h - h[0]).max() / traj.size
+
+
+# Figure 1's two rates, then four seeded draws.
+FLOW_GRID = [(1.4, 0.2), (0.9, 0.2)] + np.random.default_rng(7).uniform(
+    (0.5, 0.1), (1.5, 0.3), (4, 2)).round(3).tolist()
+
+
+@pytest.mark.parametrize("beta, gamma", FLOW_GRID)
+def test_sir_keeps_the_first_integral_of_the_flow(beta, gamma):
+    # Measured at dt 0.1: 5.0e-10 N at beta 1.4, gamma 0.2, the largest on this grid,
+    # 3.2e-11 N at beta 0.9 and 7.5e-14-4.9e-10 N at the draws; the bound is 4x the largest.
+    assert _integral_drift(beta, gamma, 0.1) < 2e-9
+
+
+@pytest.mark.parametrize("beta", [1.4, 0.9])
+def test_sir_first_integral_drift_converges_at_fourth_order(beta):
+    # RK4: doubling dt multiplies the drift by ~2^4.  Measured orders for dt 0.5 -> 1.0:
+    # 4.08 at beta 1.4 and 4.03 at beta 0.9, ~0.2 inside the band.
+    order = math.log2(_integral_drift(beta, 0.2, 1.0) / _integral_drift(beta, 0.2, 0.5))
+    assert 3.75 < order < 4.25
+
+
+@pytest.mark.parametrize("beta", [1.4, 0.9])
+def test_sir_final_size_solves_the_final_size_relation(beta):
+    # s_inf solves ln(s_inf / s0) = -R0 (1 - s_inf) with s0 = S(0)/N; by t = 400, I/N < 1e-30.
+    traj = _flow(beta, 0.2, 0.1, 400.0)
+    s0, r0 = traj.susceptible[0] / traj.size, beta / 0.2
+    s_inf = brentq(lambda s: math.log(s / s0) + r0 * (1.0 - s), 1e-300, s0 * (1.0 - 1e-12))
+    # Measured: 3.6e-9 relative at beta 1.4 and 1.5e-10 at beta 0.9; the bound is ~3x the larger.
+    assert abs(traj.susceptible[-1] / traj.size / s_inf - 1.0) < 1e-8
 
 
 def test_new_cases_equal_susceptible_drops():

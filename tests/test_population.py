@@ -436,6 +436,27 @@ def test_population_summaries_cached_and_exact():
     assert FinitePopulation(pop.outcomes.copy()).total == total
 
 
+def test_positive_mask_is_a_read_only_view_of_the_outcomes():
+    size = 100_000
+    outcomes = make_population(size, 0.091, seed=1).outcomes.copy()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pop = FinitePopulation(outcomes)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert np.shares_memory(pop.positive, pop.outcomes)
+    assert pop.positive.dtype == np.bool_
+    assert not pop.positive.flags.writeable
+    assert np.array_equal(pop.positive, pop.outcomes == 1)
+    # One byte per individual: a bool copy of the mask would keep another N bytes.
+    assert kept <= 64 * 1024
+
+
 def test_joint_counts_partition_the_population():
     pop = make_population(5_000, 0.2, seed=4)
     r = realize(pop, SelectionModel(0.1, 0.3), MeasurementModel(0.05, 0.1), seed=6)
