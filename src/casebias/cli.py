@@ -16,12 +16,12 @@ import contextlib
 import csv
 import datetime
 import functools
-import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -114,10 +114,10 @@ class Opt:
     required: bool = False
     help: str = ""
     domain: Optional[Domain] = None
+    key: str = field(init=False, repr=False, compare=False)  # name with "_" for "-"
 
-    @property
-    def key(self) -> str:
-        return self.name.replace("-", "_")
+    def __post_init__(self):
+        object.__setattr__(self, "key", self.name.replace("-", "_"))
 
 
 _COMMON = [
@@ -272,26 +272,50 @@ def _resolve(args: argparse.Namespace, table: list) -> dict:
     return resolved
 
 
-def _round6(value, key: str = ""):
-    """Round floats to 6 significant digits recursively for stable output; a NaN
-    or infinite float is infeasible, named by its dotted ``key``."""
+def _json(value, indent: str = "", key: str = "") -> str:
+    """``value`` as the JSON text that ``json.dumps(value, sort_keys=True, indent=2)``
+    writes once each float is rounded to 6 significant digits, its nested lines
+    indented by ``indent`` more.  Dict keys must be strings, sorted as they are.
+
+    The walk visits dict items in insertion order and sorts their texts after, so
+    the first NaN or infinite float in insertion order is infeasible, named by its
+    dotted ``key``.  A type ``json`` refuses raises ``TypeError``.
+    """
     if isinstance(value, float):
         if not math.isfinite(value):
             raise InfeasibleScenarioError(f"{key} is {value}")
-        return float(f"{value:.6g}")
+        return repr(float(f"{value:.6g}"))
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _round6(v, f"{key}.{k}" if key else k) for k, v in value.items()}
+        if not value:
+            return "{}"
+        texts = {k: _json(v, inner, f"{key}.{k}" if key else k) for k, v in value.items()}
+        items = [f"{inner}{encode_basestring_ascii(k)}: {texts[k]}" for k in sorted(texts)]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)):
-        return [_round6(v, key) for v in value]
-    return value
+        if not value:
+            return "[]"
+        items = [_json(v, inner, key) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _text(content, inputs: dict, flags: list) -> str:
-    """A file's text: CSV text as it is, JSON outputs wrapped as {inputs, outputs, flags}."""
+    """A file's text: CSV text as it is, JSON outputs wrapped as {inputs, outputs, flags}
+    with sorted keys; inputs are walked before outputs, so a non-finite input is named
+    first."""
     if isinstance(content, str):
         return content
-    payload = {"inputs": _round6(inputs), "outputs": _round6(content), "flags": sorted(flags)}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return (f'{{\n  "flags": {_json(sorted(flags), "  ")},\n  "inputs": {_json(inputs, "  ")},'
+            f'\n  "outputs": {_json(content, "  ")}\n}}\n')
 
 
 @dataclass(frozen=True)
@@ -455,7 +479,6 @@ def _cmd_sensitivity(opts: dict) -> _Run:
         if opts["date"] is None:
             raise _CliError("--date is required with --series")
         series = _read("series", ingest, opts["series"], cumulative=opts["cumulative"])
-        smooth = exp_smooth(series.positive_fraction, opts["alpha"])
         try:
             anchor_day = datetime.date.fromisoformat(opts["date"])
         except ValueError:
@@ -464,7 +487,11 @@ def _cmd_sensitivity(opts: dict) -> _Run:
             idx = series.dates.index(anchor_day)
         except ValueError:
             raise _CliError(f"--date {opts['date']} not present in --series") from None
-        observed = _corrected("--series/--date", float(smooth[idx]), meas)
+        # Smoothing is causal: the days after the anchor do not enter.  A day with no
+        # tests has no positive share; one on or before the anchor leaves none to smooth.
+        shares = series.positive_fraction[:idx + 1]
+        smooth = exp_smooth(shares, opts["alpha"])[-1] if np.isfinite(shares).all() else math.nan
+        observed = _corrected("--series/--date", float(smooth), meas)
     if observed is None:
         raise _CliError("give --observed-prev or --series with --date")
     survey = opts["survey_prev"]

@@ -207,8 +207,8 @@ def rho_ipz_from_rho_iy(
 
 
 def _bracket(base: float, sel: SelectionModel, meas: MeasurementModel, ybar):
-    """base - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f, elementwise."""
-    check("ybar", ybar, ERROR_RATE)
+    """base - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f, elementwise, for a
+    ``ybar`` already checked to lie in [0, 1)."""
     f = check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
     return float_or_array(base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f)
 
@@ -219,6 +219,7 @@ def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) ->
     1 - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f.  Wherever f0 > 0
     it equals the relative-rate form ``meas_adjustment_rel``.
     """
+    check("ybar", ybar, ERROR_RATE)
     return _bracket(1.0, sel, meas, ybar)
 
 
@@ -240,6 +241,12 @@ def d_m(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
     to 1 for a perfect test and to 1 + FP + FN under equal testing rates.
     Broadcasts over array ``ybar`` and array rates in ``sel``.
     """
+    check("ybar", ybar, ERROR_RATE)
+    return _d_m(sel, meas, ybar)
+
+
+def _d_m(sel: SelectionModel, meas: MeasurementModel, ybar):
+    """``d_m`` for a ``ybar`` already checked to lie in [0, 1)."""
     return _bracket(1.0 + meas.fp + meas.fn, sel, meas, ybar)
 
 

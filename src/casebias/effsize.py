@@ -22,11 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, INTEGER_AT_LEAST_2, OPEN_UNIT, POSITIVE, TESTED_FRACTION, TINY
+from ._domain import AT_LEAST_2, FINITE, INTEGER_AT_LEAST_2, NON_NEGATIVE, OPEN_UNIT, POSITIVE
+from ._domain import TESTED_FRACTION, TINY
 from ._domain import check, float_or_array, label, notice, rows
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
-from .decomposition import _corrected, d_m, meas_adjustment
+from .decomposition import _corrected, _d_m, d_m, meas_adjustment
 
 __all__ = [
     "EffSizeScenario",
@@ -75,8 +76,14 @@ class EffSizeScenario:
 
 def binary_rho(delta: float, ybar: float, f: float) -> float:
     """Binary-outcome data quality Delta * sqrt(Ybar(1-Ybar)/(f(1-f))), elementwise."""
+    check("delta", delta, FINITE)
     check("ybar", ybar, OPEN_UNIT)
     check("f", f, TESTED_FRACTION)
+    return _binary_rho(delta, ybar, f)
+
+
+def _binary_rho(delta, ybar, f):
+    """``binary_rho`` for arguments already checked against its domains."""
     return float_or_array(delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f))))
 
 
@@ -91,8 +98,9 @@ def neff_bound(scenario: EffSizeScenario) -> float:
     ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2).  A scalar scenario gives a float.
     """
     sel, ybar, f = scenario.selection, scenario.ybar, scenario.f
-    rho = binary_rho(sel.delta, ybar, f)
-    adj = d_m(sel, scenario.meas or PERFECT_TEST, ybar)  # exactly 1.0 for a perfect test
+    # The scenario has checked ybar, f and the rates; the kernels skip those checks.
+    rho = _binary_rho(sel.delta, ybar, f)
+    adj = _d_m(sel, scenario.meas or PERFECT_TEST, ybar)  # exactly 1.0 for a perfect test
     # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
     scale = rho * adj
     square = np.float_power(scale, 2)
@@ -100,14 +108,14 @@ def neff_bound(scenario: EffSizeScenario) -> float:
         bound = f / (1.0 - f) / square
     # A nonzero rho * D_M whose square underflows to a subnormal or to 0 loses bits.
     lost = (square < TINY) & (scale != 0.0)
-    if np.any(lost):
+    if lost.any():
         # The scale-free form (f/Delta)^2 / (Ybar(1-Ybar) D_M^2), f/Delta = (Ybar(M-1)+1)/(M-1),
         # squares no tiny number.
         m1 = np.asarray(scenario.rel_rate, dtype=float) - 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             free = ((ybar * m1 + 1.0) / m1) ** 2 / (ybar * (1.0 - ybar) * adj**2)
         bound = np.where(lost, free, bound)
-    if np.any(np.isinf(bound)):
+    if np.isinf(bound).any():
         notice("neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability "
                "sampling) or so small that the bound exceeds a double")
     return bound if np.ndim(bound) else float(bound)
@@ -147,6 +155,7 @@ def format_neff_table(
 def mse_vs_srs(size: int, exp_rho_sq: float) -> float:
     """MSE relative to equal-probability sampling: (N-1) * E[rho^2]."""
     check("size", size, AT_LEAST_2)
+    check("exp_rho_sq", exp_rho_sq, NON_NEGATIVE)
     return float((size - 1) * exp_rho_sq)
 
 

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FRACTION, OPEN_UNIT, POSITIVE, check, label
-from ._domain import float_or_array, notice, rows
+from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FINITE, FRACTION, OPEN_UNIT, POSITIVE, check
+from ._domain import float_or_array, label, notice, rows
 from .population import MeasurementModel, SelectionModel
 from .decomposition import _flip_mass, corrected_prevalence, d_m
 from .effsize import binary_rho
@@ -242,11 +242,15 @@ def bias_curves_csv(curves: BiasCurves) -> str:
 
 
 def exp_smooth(series: Sequence[float], alpha: float) -> np.ndarray:
-    """Exponential smoothing s_0 = x_0, s_t = alpha*x_t + (1-alpha)*s_{t-1}."""
+    """Exponential smoothing s_0 = x_0, s_t = alpha*x_t + (1-alpha)*s_{t-1}.
+
+    A NaN or infinite element raises ``ValueError``: it would spoil every later value.
+    """
     check("alpha", alpha, FRACTION)
     arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("series must be nonempty")
+    check("series", arr, FINITE)
     out = np.empty_like(arr)
     out[0] = arr[0]
     for t in range(1, arr.size):

@@ -12,6 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -1018,7 +1019,67 @@ def test_compare_non_finite_output_is_infeasible_and_writes_nothing(tmp_path, ca
 
 def test_non_finite_json_value_is_named_by_its_dotted_key():
     with pytest.raises(InfeasibleScenarioError, match=r"^checks\.a\.value is -inf$"):
-        cli._round6({"checks": {"a": {"value": [1.0, -math.inf]}}})
+        cli._json({"checks": {"a": {"value": [1.0, -math.inf]}}})
+
+
+def test_first_non_finite_json_value_in_insertion_order_is_named():
+    # The text sorts "a" first; the walk meets "b" first, as the separate rounding pass did.
+    with pytest.raises(InfeasibleScenarioError, match=r"^b is nan$"):
+        cli._json({"b": math.nan, "a": math.nan})
+
+
+def test_non_finite_input_is_named_before_an_output():
+    with pytest.raises(InfeasibleScenarioError, match=r"^x is inf$"):
+        cli._text({"a": math.nan}, {"x": math.inf}, [])
+
+
+def ref_round6(value, key: str = ""):
+    """The rounding pass that ran before json.dumps wrote the JSON files."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InfeasibleScenarioError(f"{key} is {value}")
+        return float(f"{value:.6g}")
+    if isinstance(value, dict):
+        return {k: ref_round6(v, f"{key}.{k}" if key else k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref_round6(v, key) for v in value]
+    return value
+
+
+_JSON_TEXT = st.text(st.characters(), max_size=6)  # control, non-ASCII and lone surrogates
+_JSON_SCALAR = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e300, 0.1234565, -123456.5])
+    | st.integers(-(2**70), 2**70) | st.booleans() | st.none() | _JSON_TEXT
+)
+_JSON_VALUE = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(payload=_JSON_VALUE)
+def test_json_text_is_json_dumps_of_the_rounded_payload(payload):
+    expected = json.dumps(ref_round6(payload), sort_keys=True, indent=2) + "\n"
+    assert cli._json(payload) + "\n" == expected
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {"a": object()}],
+                         ids=["int64", "numpy-bool", "object"])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_text_keys_must_be_strings():
+    # Every payload the commands write has string keys; json.dumps would write "1".
+    with pytest.raises(TypeError):
+        cli._json({1: 0.5})
 
 
 @pytest.mark.parametrize("ybar", ["0", "1"])

@@ -112,6 +112,25 @@ def test_format_neff_table_layout():
     assert lines[1].endswith(".00")
 
 
+# Each call once returned inf or nan; the message names the argument.
+REFUSED = [
+    (binary_rho, dict(delta=0.01, ybar=0.1, f=0.02), "delta", [math.nan, math.inf, -math.inf]),
+    (mse_vs_srs, dict(size=1000, exp_rho_sq=1e-3), "exp_rho_sq",
+     [math.nan, math.inf, -math.inf, -1e-3]),
+]
+
+
+@pytest.mark.parametrize(
+    "func, kwargs, name, bad",
+    [(func, kwargs, name, bad) for func, kwargs, name, values in REFUSED for bad in values],
+    ids=[f"{func.__name__}-{name}-{bad}" for func, _, name, values in REFUSED for bad in values],
+)
+def test_formulas_refuse_non_finite_input_naming_the_argument(func, kwargs, name, bad):
+    func(**kwargs)
+    with pytest.raises(ValueError, match=rf"^{name} must "):
+        func(**dict(kwargs, **{name: bad}))
+
+
 def test_mse_vs_srs():
     assert mse_vs_srs(10_000, 1.0 / 9999.0) == pytest.approx(1.0, rel=1e-12)
     assert mse_vs_srs(500, 0.0) == 0.0

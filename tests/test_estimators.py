@@ -203,6 +203,13 @@ def test_exp_smooth_validation():
         exp_smooth([], 0.3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_exp_smooth_refuses_a_non_finite_element(bad):
+    # Each once gave a tail of nan or inf from the bad element on.
+    with pytest.raises(ValueError, match=rf"^series must be finite, got {bad}$"):
+        exp_smooth([0.3, 0.2, bad, 0.25], 0.3)
+
+
 def test_bias_curves_unit_rate_is_zero():
     traj = sir_simulate(
         SirParams(beta=1.4, gamma_rec=0.2, size=1e6, s0=1e6 - 100, i0=100, dt=0.1, horizon=80)

@@ -188,3 +188,23 @@ def test_only_domain_rows_builds_csv_text():
     builds = {path.name: _csv_text_builds(ast.parse(path.read_text()))
               for path in sorted(package.glob("*.py"))}
     assert {name: len(lines) for name, lines in builds.items() if lines} == {"_domain.py": 1}
+
+
+def _json_writes(tree):
+    """The lines of ``tree`` that call ``json.dump`` or ``json.dumps``, or import either."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps") and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name in ("dump", "dumps") for alias in node.names)
+    ]
+
+
+def test_no_module_calls_json_dumps():
+    # cli._json is the one JSON writer; every JSON file the package writes goes through it.
+    package = Path(casebias.__file__).parent
+    writes = {path.name: _json_writes(ast.parse(path.read_text()))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
