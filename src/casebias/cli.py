@@ -457,7 +457,7 @@ def _cmd_rt_gap(opts: dict) -> _Run:
         rel_rate=opts["m"],
         serial_interval=opts["serial_interval"],
     )
-    every = len(gap.flagged) >= gap.steps.size - 1
+    every = len(gap.flagged) == gap.steps.size  # step 0 is always flagged
     return _Run({"rt_gap.csv": rt_gap_csv(gap)}, infeasible="every step flagged" if every else None)
 
 

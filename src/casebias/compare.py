@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, TESTED_FRACTION, UNIT, check, rows
+from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, POSITIVE, TESTED_FRACTION, UNIT
+from ._domain import check, rows
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
 from .estimators import InfeasibleScenarioError, _rt_error_series, _step_context, _warn_flagged
@@ -107,23 +108,26 @@ def starred_z(rho1: float, rho2: float, n1: float, n2: float) -> float:
     sqrt((N1-1)(N2-1)/(N1+N2-2)) * (rho1 - rho2); the exact denominator is
     N1+N2-2, which ``population_adjustment`` approximates by N1+N2.
     """
+    check("rho1", rho1, FINITE)
+    check("rho2", rho2, FINITE)
     return _size_factor(n1, n2, 0.0) * (rho1 - rho2)
 
 
 def _size_factor(n1: float, n2: float, extra: float) -> float:
     """sqrt((N1-1)(N2-1)/(N1+N2-2+extra)), finite for every pair of finite sizes.
 
-    With lo <= hi the two N-1, the ratio is lo / (1 + (lo+extra)/hi): no
-    product or sum of the sizes is formed, so none can overflow.
+    Checks ``n1`` and ``n2``, in that order.  With lo <= hi the two N-1, the
+    ratio is lo / (1 + (lo+extra)/hi): no product or sum of the sizes is
+    formed, so none can overflow.
     """
+    check("n1", n1, POPULATION)
+    check("n2", n2, POPULATION)
     lo, hi = sorted((n1 - 1.0, n2 - 1.0))
     return math.sqrt(lo / (1.0 + (lo + extra) / hi))
 
 
 def population_adjustment(n1: float, n2: float) -> float:
     """sqrt((N1-1)(N2-1)/(N1+N2)); about sqrt(min(N)-1) for lopsided sizes."""
-    check("n1", n1, POPULATION)
-    check("n2", n2, POPULATION)
     return _size_factor(n1, n2, 2.0)
 
 
@@ -135,12 +139,11 @@ def delta_diff_threshold(n1: float, n2: float, f: float, ybar: float) -> float:
     form).  Around 10% prevalence and a few-percent f the rho factor is close
     to 2, so the threshold is roughly 1/(2 * adjustment).
     """
-    check("n1", n1, POPULATION)
-    check("n2", n2, POPULATION)
+    size_factor = _size_factor(n1, n2, 0.0)  # checks n1 and n2 before f and ybar
     check("f", f, TESTED_FRACTION)
     check("ybar", ybar, OPEN_UNIT)
     rho_factor = math.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f)))
-    return 1.0 / (rho_factor * _size_factor(n1, n2, 0.0))
+    return 1.0 / (rho_factor * size_factor)
 
 
 def z_eff(
@@ -158,6 +161,9 @@ def z_eff(
     check("neff1", neff1, NEFF)
     check("neff2", neff2, NEFF)
     check("f", f, TESTED_FRACTION)
+    check("ybar1", ybar1, UNIT)
+    check("ybar2", ybar2, UNIT)
+    check("sigma_y", sigma_y, POSITIVE)
     denom = (1.0 - f) / f * sigma_y * math.sqrt(
         1.0 / (neff1 - 1.0) + 1.0 / (neff2 - 1.0)
     )

@@ -8,11 +8,17 @@ prevalence pins the whole error budget.  The bound
     n_eff <= f/(1-f) * 1 / (rho * D_M)^2
 
 converts that budget into the size of the equal-probability sample with the
-same mean squared error (D_M = 1 without measurement error).  ``neff_bound``
-is the one kernel: a scenario may hold arrays that broadcast together, and
-``neff_table`` is a single evaluation over a (prevalence x M) grid, with one
-warning for all its infinite cells.  E[rho^2] is approximated by rho^2
-throughout; Monte Carlo counterparts live in ``population.mc_expectation``.
+same mean squared error (D_M = 1 without measurement error).  With
+Delta = f(M-1)/(Ybar(M-1)+1) the tested fraction cancels:
+
+    n_eff <= ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2),
+
+so testing more at the same relative rate M buys no effective sample.
+``neff_bound`` evaluates that form: a scenario may hold arrays that broadcast
+together, and ``neff_table`` is a single evaluation over a (prevalence x M)
+grid, with one warning for all its infinite cells.  E[rho^2] is approximated
+by rho^2 throughout; Monte Carlo counterparts live in
+``population.mc_expectation``.
 """
 from __future__ import annotations
 
@@ -23,8 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._domain import AT_LEAST_2, FINITE, INTEGER_AT_LEAST_2, NON_NEGATIVE, OPEN_UNIT, POSITIVE
-from ._domain import TESTED_FRACTION, TINY
-from ._domain import check, float_or_array, label, notice, rows
+from ._domain import TESTED_FRACTION, check, float_or_array, label, notice, rows
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
 from .decomposition import _corrected, _d_m, d_m, meas_adjustment
@@ -79,42 +84,24 @@ def binary_rho(delta: float, ybar: float, f: float) -> float:
     check("delta", delta, FINITE)
     check("ybar", ybar, OPEN_UNIT)
     check("f", f, TESTED_FRACTION)
-    return _binary_rho(delta, ybar, f)
-
-
-def _binary_rho(delta, ybar, f):
-    """``binary_rho`` for arguments already checked against its domains."""
     return float_or_array(delta * np.sqrt(ybar * (1.0 - ybar) / (f * (1.0 - f))))
 
 
 def neff_bound(scenario: EffSizeScenario) -> float:
     """Equivalent equal-probability sample size f/(1-f) / (rho * D_M)^2, elementwise.
 
-    Infinite where rho * D_M is 0, as under equal-probability sampling, or
-    where the bound exceeds a double; one warning per call covers every
-    infinite cell.  A cell whose nonzero rho * D_M squares below the smallest
-    normal double (to a subnormal or to 0, as for M within ~1e-12 of 1 at a
-    tiny f) takes the scale-free form
-    ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2).  A scalar scenario gives a float.
+    Evaluated as ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2), where f has
+    cancelled and no tiny number is squared.  Infinite where rho * D_M is 0
+    (M = 1, as under equal-probability sampling, or D_M = 0) or where the
+    bound exceeds a double; one warning per call covers every infinite cell.
+    A scalar scenario gives a float.
     """
-    sel, ybar, f = scenario.selection, scenario.ybar, scenario.f
-    # The scenario has checked ybar, f and the rates; the kernels skip those checks.
-    rho = _binary_rho(sel.delta, ybar, f)
-    adj = _d_m(sel, scenario.meas or PERFECT_TEST, ybar)  # exactly 1.0 for a perfect test
+    ybar, m1 = scenario.ybar, np.asarray(scenario.rel_rate, dtype=float) - 1.0
+    adj = _d_m(scenario.selection, scenario.meas or PERFECT_TEST, ybar)  # 1.0 for a perfect test
     # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
-    scale = rho * adj
-    square = np.float_power(scale, 2)
     with np.errstate(divide="ignore", over="ignore"):
-        bound = f / (1.0 - f) / square
-    # A nonzero rho * D_M whose square underflows to a subnormal or to 0 loses bits.
-    lost = (square < TINY) & (scale != 0.0)
-    if lost.any():
-        # The scale-free form (f/Delta)^2 / (Ybar(1-Ybar) D_M^2), f/Delta = (Ybar(M-1)+1)/(M-1),
-        # squares no tiny number.
-        m1 = np.asarray(scenario.rel_rate, dtype=float) - 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            free = ((ybar * m1 + 1.0) / m1) ** 2 / (ybar * (1.0 - ybar) * adj**2)
-        bound = np.where(lost, free, bound)
+        square = np.float_power((ybar * m1 + 1.0) / m1, 2)  # (f / Delta)^2
+        bound = square / (ybar * (1.0 - ybar) * np.float_power(adj, 2))
     if np.isinf(bound).any():
         notice("neff bound is infinite: (rho * D_M)^2 is 0 (equal-probability "
                "sampling) or so small that the bound exceeds a double")

@@ -277,6 +277,7 @@ def forward_rho_dm(delta: float, ybar: float, f: float, meas: MeasurementModel) 
     Uses f0 = f - Delta*ybar, the testing rate pair consistent with the
     overall fraction.
     """
+    check("delta", delta, FINITE)
     f0 = f - delta * ybar
     sel = SelectionModel(f0=f0, f1=f0 + delta)
     return binary_rho(delta, ybar, f) * d_m(sel, meas, ybar)
@@ -291,6 +292,8 @@ def solve_delta(target_rho_dm: float, ybar: float, f: float, meas: MeasurementMo
     when B > 0, ends at the vertex A/(2B); the root on that increasing branch is
     2t / (A + sqrt(A^2 - 4Bt)) with t = target/c (t/A when B = 0).
     """
+    check("target_rho_dm", target_rho_dm, FINITE)
+    check("ybar", ybar, OPEN_UNIT)
     eps = 1e-12
     hi = f / ybar * (1.0 - eps)          # keeps f0 > 0
     hi = min(hi, (1.0 - f) / (1.0 - ybar) * (1.0 - eps))  # keeps f1 < 1

@@ -111,7 +111,11 @@ class FinitePopulation(PopulationCounts):
     """Fixed binary disease indicators for N individuals, with their counts and positive mask.
 
     ``outcomes`` is a read-only int8 0/1 vector; ``positive`` is a read-only bool view
-    of its bytes, not a copy, so the pair costs one byte per individual.
+    of its bytes, not a copy, so the pair costs one byte per individual.  An int8
+    array that owns its data is kept as is and made read-only; a view of another
+    array is copied, so a write through that array cannot move the outcomes away
+    from ``total``.  A view of the kept array taken before construction can still
+    write to it.
     """
 
     size: int = field(init=False)
@@ -125,6 +129,8 @@ class FinitePopulation(PopulationCounts):
             raise ValueError("population needs a 1-d outcome vector")
         if not (arr.view(np.uint8) <= 1).all():  # -1..-128 read as 255..128
             raise ValueError("outcomes must be 0/1")
+        if arr.base is not None:  # a view: a write through its base would move the outcomes
+            arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "outcomes", arr)
         # The 0/1 bytes checked above read as False/True; a view of read-only arr is read-only.

@@ -59,6 +59,13 @@ def test_neff_default_grid(tmp_path):
     assert abs(float(first[1]) - 1598) <= 1
 
 
+@pytest.mark.parametrize("f", ["0.026", "0.3"])
+def test_neff_cell_does_not_move_with_the_tested_fraction(tmp_path, f):
+    # The exact bound for these doubles is 289.0000000000001; f cancels from it.
+    assert run(tmp_path, "neff", "--f", f, "--ybar-grid", "0.1", "--m-grid", "1.2") == 0
+    assert (tmp_path / "neff_table.csv").read_text() == "ybar,1.2\n0.1,289.00\n"
+
+
 def test_neff_missing_required():
     assert main(["neff"]) == 1
 
@@ -91,6 +98,13 @@ def test_every_step_flagged_keeps_the_csv_and_exits_2(tmp_path, capsys, argv, fi
     assert capsys.readouterr() == (
         f"{tmp_path / filename}\n", f"{flags}infeasible: every step flagged\n"
     )
+
+
+def test_rt_gap_with_one_finite_step_exits_0(tmp_path, capsys):
+    # Step 0 has no previous step and is always flagged; step 1 of a two-step gap is finite.
+    assert run(tmp_path, "rt-gap", "--horizon", "2") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rt_gap.csv"]
+    assert capsys.readouterr() == (f"{tmp_path / 'rt_gap.csv'}\n", "")
 
 
 def test_rt_gap_without_cases_is_infeasible_and_writes_nothing(tmp_path, capsys):

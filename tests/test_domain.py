@@ -14,6 +14,7 @@ from casebias import (
     _domain,
     binary_rho,
     delta_diff_threshold,
+    forward_rho_dm,
     imperfect_error,
     make_population,
     mc_expectation,
@@ -24,6 +25,8 @@ from casebias import (
     population_adjustment,
     rt_estimate,
     selection_error,
+    solve_delta,
+    starred_z,
     sir_simulate,
     srs_variance,
     survey_interval,
@@ -41,12 +44,42 @@ NAN_INPUTS = [
     (rt_estimate, (NAN, 0.1, 7), "ybar_t"),
     (survey_interval, (0.1, NAN), "n"),
     (srs_variance, (NAN, 100, 1000), "pop_prevalence"),
+    (starred_z, (NAN, 0.1, 10, 10), "rho1"),
+    (z_eff, (NAN, 0.1, 15, 15, 0.026, 0.3), "ybar1"),
+    (solve_delta, (NAN, 0.1, 0.026, PERFECT_TEST), "target_rho_dm"),
+    (forward_rho_dm, (NAN, 0.1, 0.026, PERFECT_TEST), "delta"),
 ]
 
 
 @pytest.mark.parametrize("func, args, name", NAN_INPUTS, ids=[c[0].__name__ for c in NAN_INPUTS])
 def test_nan_input_is_rejected_naming_the_argument(func, args, name):
     with pytest.raises(ValueError, match=rf"^{name} must .*, got nan$"):
+        func(*args)
+
+
+# Each call once returned a number, raised ZeroDivisionError or named another argument.
+REFUSED_AT_ENTRY = [
+    (starred_z, (0.1, NAN, 10, 10), "rho2", "nan"),
+    (starred_z, (0.1, -0.1, 1, 10), "n1", "1"),
+    (starred_z, (0.1, -0.1, 10, 1.5), "n2", "1.5"),
+    (z_eff, (0.1, NAN, 15, 15, 0.026, 0.3), "ybar2", "nan"),
+    (z_eff, (0.1, 1.5, 15, 15, 0.026, 0.3), "ybar2", "1.5"),
+    (z_eff, (0.1, 0.05, 15, 15, 0.026, 0.0), "sigma_y", "0.0"),
+    (z_eff, (0.1, 0.05, 15, 15, 0.026, math.inf), "sigma_y", "inf"),
+    (solve_delta, (0.01, 0.0, 0.026, PERFECT_TEST), "ybar", "0.0"),
+    (solve_delta, (0.01, 1.0, 0.026, PERFECT_TEST), "ybar", "1.0"),
+    (solve_delta, (math.inf, 0.1, 0.026, PERFECT_TEST), "target_rho_dm", "inf"),
+    (forward_rho_dm, (math.inf, 0.1, 0.026, PERFECT_TEST), "delta", "inf"),
+    (forward_rho_dm, (-math.inf, 0.1, 0.026, PERFECT_TEST), "delta", "-inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, name, got", REFUSED_AT_ENTRY,
+    ids=[f"{c[0].__name__}-{c[2]}-{c[3]}" for c in REFUSED_AT_ENTRY],
+)
+def test_out_of_domain_input_is_rejected_where_it_enters(func, args, name, got):
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(got)}$"):
         func(*args)
 
 

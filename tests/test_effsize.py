@@ -289,20 +289,20 @@ def test_relative_mse_mc_seed_forms():
 
 
 def reference_neff_bound(ybar, m, f, meas=None):
-    """One cell as the per-cell loop computed it, on Python floats.
-
-    A nonzero rho * D_M whose square is below the smallest normal double takes
-    the scale-free form ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2)."""
+    """One cell as the per-cell loop computes it, on Python floats:
+    ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2), infinite where M = 1,
+    where D_M = 0 or where the square overflows."""
     sel = SelectionModel.from_relative_rate(f, m, ybar)
-    rho = binary_rho(sel.delta, ybar, f)
     adj = 1.0
     if meas is not None and not meas.is_perfect:
         adj = d_m(sel, meas, ybar)
-    if rho * adj == 0.0:
+    if m == 1.0 or adj == 0.0:
         return math.inf
-    if (rho * adj) ** 2 < TINY:
-        return ((ybar * (m - 1.0) + 1.0) / (m - 1.0)) ** 2 / (ybar * (1.0 - ybar) * adj**2)
-    return float(f / (1.0 - f) / (rho * adj) ** 2)
+    try:
+        square = ((ybar * (m - 1.0) + 1.0) / (m - 1.0)) ** 2
+    except OverflowError:
+        return math.inf
+    return square / (ybar * (1.0 - ybar) * adj**2)
 
 
 def reference_neff_table(ybar_grid, rel_rate_grid, f, meas=None):
@@ -553,3 +553,62 @@ def test_grid_labels_read_back_as_the_grid_values():
         assert label(x) == f"{x:g}"
     assert label(math.nan) == "nan"
     assert label(np.float64(1.2000001)) == "1.2000001"
+
+
+def exact_neff_bound(ybar, m, adj):
+    """((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2) in exact arithmetic, D_M as computed,
+    as a (numerator, denominator) pair of integers.
+
+    With Ybar = a/b, M = c/d and D_M = e/g it is ((a(c-d) + bd) g)^2 / ((c-d)^2 a(b-a) e^2).
+    """
+    (a, b), (c, d), (e, g) = (float(x).as_integer_ratio() for x in (ybar, m, adj))
+    return ((a * (c - d) + b * d) * g) ** 2, (c - d) ** 2 * a * (b - a) * e**2
+
+
+def relative_error(value, exact):
+    """|value - exact| / exact for a positive exact (numerator, denominator) pair."""
+    p, q = float(value).as_integer_ratio()
+    num, den = exact
+    return abs(p * den - q * num) / (q * num)  # int / int rounds once, at any size
+
+
+def test_neff_bound_is_exact_on_every_finite_seeded_cell():
+    # Worst 1.4e-15 relative over 14,357 cells; evaluated through rho,
+    # f/(1-f)/(rho D_M)^2 is off by up to 4.4e-15 here.
+    rng = np.random.default_rng(20260)
+    worst, cells = 0.0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(2400):
+            ybar, rel_rate, f, meas = random_neff_grid(rng)
+            sc = EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), f, meas)
+            adj = d_m(sc.selection, meas or PERFECT_TEST, sc.ybar) * np.ones_like(sc.delta)
+            bound = neff_bound(sc)
+            for i, j in zip(*np.nonzero(np.isfinite(bound))):
+                exact = exact_neff_bound(ybar[i], rel_rate[j], adj[i, j])
+                worst = max(worst, relative_error(bound[i, j], exact))
+                cells += 1
+    assert cells >= 14000
+    assert worst < 2e-15, worst
+
+
+def test_perfect_test_neff_bound_does_not_depend_on_f():
+    # f cancels from f/(1-f)/(rho D_M)^2 when D_M = 1; evaluated through rho,
+    # cells move by up to 4.7e-15 relative between f and 0.37 f.
+    rng = np.random.default_rng(20260)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(2400):
+            ybar, rel_rate, f, _ = random_neff_grid(rng)
+            other = 0.37 * f if 0.37 * f >= TINY else f / 0.37
+            at_f = neff_bound(EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), f))
+            at_other = neff_bound(
+                EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), other))
+            assert np.array_equal(at_f, at_other), (ybar, rel_rate, f)
+
+
+@pytest.mark.parametrize("f", [0.026, 0.3])
+def test_neff_bound_is_exact_for_a_relative_rate_next_to_one(f):
+    # Delta = f1 - f0 keeps only ~7 digits of M - 1 here, so a bound through rho drifts with f.
+    bound = neff_bound(EffSizeScenario(0.1, 1.000000001, f))
+    assert relative_error(bound, exact_neff_bound(0.1, 1.000000001, 1.0)) < 1e-14

@@ -169,6 +169,32 @@ def test_only_domain_notice_calls_warnings_warn():
         "_domain.py": ["notice"]}
 
 
+def _private_imports(tree):
+    """The private names ``tree`` imports from a sibling module other than ``_domain``."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module != "_domain"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # A new private coupling between modules joins this list on purpose.
+    package = Path(casebias.__file__).parent
+    imports = {path.stem: _private_imports(ast.parse(path.read_text()))
+               for path in sorted(package.glob("*.py"))}
+    assert {name: sorted(pairs) for name, pairs in imports.items() if pairs} == {
+        "cli": [("sampling", "_total")],
+        "compare": [("epidemic", "_true_rt"), ("estimators", "_rt_error_series"),
+                    ("estimators", "_step_context"), ("estimators", "_warn_flagged")],
+        "decomposition": [("population", "_realized_counts"), ("population", "_usable")],
+        "effsize": [("decomposition", "_corrected"), ("decomposition", "_d_m")],
+        "estimators": [("decomposition", "_flip_mass")],
+    }
+
+
 def _csv_text_builds(tree):
     """The lines of ``tree`` that apply ``% tuple(...)`` or call ``"\\n".join(...)``."""
     return [

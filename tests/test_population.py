@@ -457,6 +457,17 @@ def test_positive_mask_is_a_read_only_view_of_the_outcomes():
     assert kept <= 64 * 1024
 
 
+def test_a_write_through_the_viewed_array_leaves_the_population_alone():
+    base = np.array([0, 1, 0, 1], dtype=np.int8)
+    pop = FinitePopulation(base[:])
+    base[0] = 1
+    assert pop.outcomes.tolist() == [0, 1, 0, 1]
+    assert pop.positive.tolist() == [False, True, False, True]
+    assert (pop.total, pop.prevalence) == (2, 0.5)
+    owned = np.array([0, 1, 1], dtype=np.int8)
+    assert FinitePopulation(owned).outcomes is owned and not owned.flags.writeable
+
+
 def test_joint_counts_partition_the_population():
     pop = make_population(5_000, 0.2, seed=4)
     r = realize(pop, SelectionModel(0.1, 0.3), MeasurementModel(0.05, 0.1), seed=6)
