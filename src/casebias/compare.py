@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._domain import FINITE, NEFF, OPEN_UNIT, POPULATION, POSITIVE, TESTED_FRACTION, UNIT
-from ._domain import check, rows
+from ._domain import FINITE, NEFF, NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE, TESTED_FRACTION
+from ._domain import UNIT, check, rows
 from .population import MeasurementModel
 from .epidemic import SirTrajectory, _true_rt
 from .estimators import InfeasibleScenarioError, _rt_error_series, _step_context, _warn_flagged
@@ -89,7 +89,7 @@ def prevalence_z(
     if sigma_null is None:
         pooled = 0.5 * (a.ybar_hat + b.ybar_hat)
         sigma_null = math.sqrt(pooled * (1.0 - pooled))
-    if sigma_null == 0.0:
+    if check("sigma_null", sigma_null, NON_NEGATIVE) == 0.0:
         raise InfeasibleScenarioError("zero pooled variance: the Z-score is undefined")
     var_srs = (
         (1.0 - a.f) / a.f / (a.size - 1.0) + (1.0 - b.f) / b.f / (b.size - 1.0)

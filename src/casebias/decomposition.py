@@ -206,11 +206,20 @@ def rho_ipz_from_rho_iy(
     return float(-rho_iy * (meas.fp + meas.fn) * sigma_y / sigma_pz)
 
 
-def _bracket(base: float, sel: SelectionModel, meas: MeasurementModel, ybar):
-    """base - Delta * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / f, elementwise, for a
-    ``ybar`` already checked to lie in [0, 1)."""
-    f = check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
-    return float_or_array(base - sel.delta * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f)
+def _bracket(base: float, num, den, meas: MeasurementModel, ybar):
+    """base - num * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar) / den, elementwise, with
+    num/den = Delta/f, for a ``ybar`` already checked to lie in [0, 1).
+
+    The one place D_M's slope is written.  A caller holding M passes
+    num = ``_delta_per_f(M, ybar)`` and den = 1, so f never enters.
+    """
+    return float_or_array(base - num * (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / den)
+
+
+def _delta_per_f(rel_rate, ybar):
+    """Delta/f = (M-1)/(Ybar(M-1)+1) for M = ``rel_rate``, where the tested fraction has
+    cancelled.  It lies in (-1/(1-Ybar), 1/Ybar), so no finite M overflows it."""
+    return (rel_rate - 1.0) / (ybar * (rel_rate - 1.0) + 1.0)
 
 
 def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
@@ -220,18 +229,15 @@ def meas_adjustment(sel: SelectionModel, meas: MeasurementModel, ybar: float) ->
     it equals the relative-rate form ``meas_adjustment_rel``.
     """
     check("ybar", ybar, ERROR_RATE)
-    return _bracket(1.0, sel, meas, ybar)
+    f = check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
+    return _bracket(1.0, sel.delta, f, meas, ybar)
 
 
 def meas_adjustment_rel(rel_rate: float, meas: MeasurementModel, ybar: float) -> float:
     """Relative-rate form of the adjustment; depends only on (M, Ybar, FP, FN)."""
     check("rel_rate", rel_rate, POSITIVE)
     check("ybar", ybar, ERROR_RATE)
-    mix = _flip_mass(meas, ybar)
-    return float(
-        1.0
-        - (rel_rate - 1.0) * (ybar / (1.0 - ybar)) * mix / ((1.0 - ybar) + rel_rate * ybar)
-    )
+    return _bracket(1.0, _delta_per_f(rel_rate, ybar), 1.0, meas, ybar)
 
 
 def d_m(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
@@ -242,12 +248,8 @@ def d_m(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> float:
     Broadcasts over array ``ybar`` and array rates in ``sel``.
     """
     check("ybar", ybar, ERROR_RATE)
-    return _d_m(sel, meas, ybar)
-
-
-def _d_m(sel: SelectionModel, meas: MeasurementModel, ybar):
-    """``d_m`` for a ``ybar`` already checked to lie in [0, 1)."""
-    return _bracket(1.0 + meas.fp + meas.fn, sel, meas, ybar)
+    f = check("overall sampling fraction", sel.overall_fraction(ybar), POSITIVE)
+    return _bracket(1.0 + meas.fp + meas.fn, sel.delta, f, meas, ybar)
 
 
 def adjustment_factors(sel: SelectionModel, meas: MeasurementModel, ybar: float) -> AdjustmentFactors:
@@ -303,5 +305,7 @@ def trial_effect_bias(beta1: float, exp_rho_iu: float, f: float, sigma_u: float)
     fraction.
     """
     check("beta1", beta1, FINITE)
+    check("exp_rho_iu", exp_rho_iu, FINITE)
     check("sampling fraction", f, OPEN_UNIT)
+    check("sigma_u", sigma_u, NON_NEGATIVE)
     return float(beta1 * exp_rho_iu * np.sqrt(f / (1.0 - f)) * sigma_u)

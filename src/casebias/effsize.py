@@ -28,11 +28,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_2, FINITE, INTEGER_AT_LEAST_2, NON_NEGATIVE, OPEN_UNIT, POSITIVE
+from ._domain import FINITE, INTEGER_AT_LEAST_2, NON_NEGATIVE, OPEN_UNIT, POPULATION, POSITIVE
 from ._domain import TESTED_FRACTION, check, float_or_array, label, notice, rows
 from .population import MeasurementModel, SelectionModel, PERFECT_TEST
 from .population import PopulationCounts, mc_expectation
-from .decomposition import _corrected, _d_m, d_m, meas_adjustment
+from .decomposition import _bracket, _corrected, _delta_per_f, d_m
 
 __all__ = [
     "EffSizeScenario",
@@ -97,7 +97,9 @@ def neff_bound(scenario: EffSizeScenario) -> float:
     A scalar scenario gives a float.
     """
     ybar, m1 = scenario.ybar, np.asarray(scenario.rel_rate, dtype=float) - 1.0
-    adj = _d_m(scenario.selection, scenario.meas or PERFECT_TEST, ybar)  # 1.0 for a perfect test
+    meas = scenario.meas or PERFECT_TEST
+    # D_M, where f has cancelled; exactly 1.0 for a perfect test.
+    adj = _bracket(1.0 + meas.fp + meas.fn, _delta_per_f(scenario.rel_rate, ybar), 1.0, meas, ybar)
     # float_power squares with C pow, as ** on a Python float does; numpy's ** 2 multiplies.
     with np.errstate(divide="ignore", over="ignore"):
         square = np.float_power((ybar * m1 + 1.0) / m1, 2)  # (f / Delta)^2
@@ -141,7 +143,7 @@ def format_neff_table(
 
 def mse_vs_srs(size: int, exp_rho_sq: float) -> float:
     """MSE relative to equal-probability sampling: (N-1) * E[rho^2]."""
-    check("size", size, AT_LEAST_2)
+    check("size", size, POPULATION)
     check("exp_rho_sq", exp_rho_sq, NON_NEGATIVE)
     return float((size - 1) * exp_rho_sq)
 
@@ -155,7 +157,8 @@ def _scenario_error(
     """Expectation-level error of the estimator under a scenario.
 
     ``adjustment="scenario"`` uses the scenario brackets (``meas_adjustment``
-    and ``d_m``), the convention every downstream bound is built on;
+    and ``d_m`` at Delta/f = (M-1)/(Ybar(M-1)+1)), the convention every
+    downstream bound is built on;
     ``adjustment="expectation"`` uses the exact expectation of each estimator
     (the first two bracket terms combine to rho*sigma*(1-FP-FN)), which is
     what the Monte Carlo engine reproduces.
@@ -164,20 +167,18 @@ def _scenario_error(
         raise ValueError(f"unknown adjustment {adjustment!r}")
     if estimator not in ("uncorrected", "corrected"):
         raise ValueError(f"unknown estimator {estimator!r}")
-    meas = scenario.meas or PERFECT_TEST
-    rho = binary_rho(scenario.delta, scenario.ybar, scenario.f)
-    quantity = math.sqrt((1.0 - scenario.f) / scenario.f)
-    base = rho * quantity * scenario.sigma_y
+    meas, ybar = scenario.meas or PERFECT_TEST, scenario.ybar
+    q = _delta_per_f(scenario.rel_rate, ybar)
+    base = q * ybar * (1.0 - ybar)  # rho * sqrt((1-f)/f) * sigma_Y, where f has cancelled
     rates = meas.fp + meas.fn
-    bias = meas.fp - rates * scenario.ybar
-    sel = scenario.selection
+    bias = meas.fp - rates * ybar
     by_scenario = adjustment == "scenario"
     if estimator == "corrected":
         # The correction removes the bias term by construction.
         if by_scenario:
-            return base * d_m(sel, meas, scenario.ybar)
+            return base * _bracket(1.0 + meas.fp + meas.fn, q, 1.0, meas, ybar)
         return base * (1.0 - rates) * (1.0 + rates) + bias * rates
-    err = base * (meas_adjustment(sel, meas, scenario.ybar) if by_scenario else 1.0 - rates)
+    err = base * (_bracket(1.0, q, 1.0, meas, ybar) if by_scenario else 1.0 - rates)
     return err + bias if include_bias else err
 
 
@@ -292,7 +293,8 @@ def capacity_tradeoff(
 
     rho_b = binary_rho(delta, ybar, f_before)
     rho_a = binary_rho(delta, ybar, f_after)
-    d_b = d_m(sel_before, meas_before, ybar)
+    d_b = _bracket(1.0 + meas_before.fp + meas_before.fn, _delta_per_f(rel_rate, ybar), 1.0,
+                   meas_before, ybar)
     d_a = d_m(sel_after, meas_after, ybar)
 
     mse_ratio_naive = (rho_a / rho_b) ** 2

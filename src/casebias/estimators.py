@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import AT_LEAST_0, AT_LEAST_2, DRIVER, FINITE, FRACTION, OPEN_UNIT, POSITIVE, check
-from ._domain import float_or_array, label, notice, rows
+from ._domain import AT_LEAST_0, DRIVER, FINITE, FRACTION, OPEN_UNIT, POPULATION, POSITIVE, check
+from ._domain import TESTED_FRACTION, float_or_array, label, notice, rows
 from .population import MeasurementModel, SelectionModel
-from .decomposition import _flip_mass, corrected_prevalence, d_m
+from .decomposition import _bracket, _delta_per_f, corrected_prevalence
 from .effsize import binary_rho
 from .epidemic import SirTrajectory
 
@@ -130,14 +130,15 @@ def period_stats_analytic(
     """Analytic period ingredients for a binary share ``ybar`` under (f, M).
 
     rho comes from the binary closed form with Delta implied by (f, M, ybar),
-    D_M from the measurement adjustment, and CV from the binary standard
-    deviation, sqrt((1-ybar)/ybar).  Broadcasts over array ``ybar`` and
-    ``rel_rate``; scalars give float fields.
+    D_M from the measurement adjustment at Delta/f = (M-1)/(ybar(M-1)+1), which
+    does not read f, and CV from the binary standard deviation,
+    sqrt((1-ybar)/ybar).  Broadcasts over array ``ybar`` and ``rel_rate``;
+    scalars give float fields.
     """
     check("ybar", ybar, OPEN_UNIT)
-    sel = SelectionModel.from_relative_rate(f, rel_rate, ybar)
+    sel = SelectionModel.from_relative_rate(check("f", f, TESTED_FRACTION), rel_rate, ybar)
     rho = binary_rho(sel.delta, ybar, f)
-    adj = d_m(sel, meas, ybar)
+    adj = _bracket(1.0 + meas.fp + meas.fn, _delta_per_f(rel_rate, ybar), 1.0, meas, ybar)
     cv = float_or_array(np.sqrt((1.0 - ybar) / ybar))
     return PeriodStats(rho=rho, d_m=adj, f=f, cv=cv, ybar=ybar)
 
@@ -275,12 +276,12 @@ def forward_rho_dm(delta: float, ybar: float, f: float, meas: MeasurementModel) 
     """Forward map Delta -> rho(Delta) * D_M(Delta) at fixed (ybar, f, FP, FN).
 
     Uses f0 = f - Delta*ybar, the testing rate pair consistent with the
-    overall fraction.
+    overall fraction, and evaluates D_M at (Delta, f) itself.
     """
     check("delta", delta, FINITE)
     f0 = f - delta * ybar
-    sel = SelectionModel(f0=f0, f1=f0 + delta)
-    return binary_rho(delta, ybar, f) * d_m(sel, meas, ybar)
+    SelectionModel(f0=f0, f1=f0 + delta)  # checks that both testing rates lie in [0, 1]
+    return binary_rho(delta, ybar, f) * _bracket(1.0 + meas.fp + meas.fn, delta, f, meas, ybar)
 
 
 def solve_delta(target_rho_dm: float, ybar: float, f: float, meas: MeasurementModel) -> float:
@@ -300,7 +301,7 @@ def solve_delta(target_rho_dm: float, ybar: float, f: float, meas: MeasurementMo
     lo = -f / (1.0 - ybar) * (1.0 - eps)  # keeps f1 > 0
     lo = max(lo, (f - 1.0) / ybar * (1.0 - eps))  # keeps f0 < 1
     a = 1.0 + meas.fp + meas.fn
-    b = (ybar / (1.0 - ybar)) * _flip_mass(meas, ybar) / f
+    b = -_bracket(0.0, 1.0, f, meas, ybar)
     if b > 0.0:
         hi = min(hi, a / (2.0 * b))
     g_lo = forward_rho_dm(lo, ybar, f, meas)
@@ -393,7 +394,7 @@ def survey_interval(p_raw: float, n: int, z: float = 2.0) -> tuple:
     Ends outside [0, 1] are clamped and flagged with a warning, as in ``corrected_prevalence``.
     """
     check("p_raw", p_raw, OPEN_UNIT)
-    check("n", n, AT_LEAST_2)
+    check("n", n, POPULATION)
     check("z", z, POSITIVE)
     half = z * math.sqrt(p_raw * (1.0 - p_raw) / n)
     lo, hi = p_raw - half, p_raw + half

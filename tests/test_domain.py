@@ -22,7 +22,9 @@ from casebias import (
     meas_adjustment_rel,
     mse_vs_srs,
     neff_bound,
+    period_stats_analytic,
     population_adjustment,
+    prevalence_z,
     rt_estimate,
     selection_error,
     solve_delta,
@@ -30,11 +32,13 @@ from casebias import (
     sir_simulate,
     srs_variance,
     survey_interval,
+    trial_effect_bias,
     verify_identity,
     z_eff,
 )
 
 NAN = math.nan
+SUMMARY = PopulationSummary(size=1e6, f=0.02, ybar_hat=0.1, rho=0.01, d_m=1.0, sigma_y=0.3)
 # Each call once returned nan; the message names the argument that is NaN.
 NAN_INPUTS = [
     (population_adjustment, (NAN, 10), "n1"),
@@ -48,6 +52,9 @@ NAN_INPUTS = [
     (z_eff, (NAN, 0.1, 15, 15, 0.026, 0.3), "ybar1"),
     (solve_delta, (NAN, 0.1, 0.026, PERFECT_TEST), "target_rho_dm"),
     (forward_rho_dm, (NAN, 0.1, 0.026, PERFECT_TEST), "delta"),
+    (trial_effect_bias, (1.0, NAN, 0.1, 0.5), "exp_rho_iu"),
+    (prevalence_z, (SUMMARY, SUMMARY, NAN), "sigma_null"),
+    (period_stats_analytic, (0.1, NAN, 2.0, PERFECT_TEST), "f"),
 ]
 
 
@@ -71,6 +78,9 @@ REFUSED_AT_ENTRY = [
     (solve_delta, (math.inf, 0.1, 0.026, PERFECT_TEST), "target_rho_dm", "inf"),
     (forward_rho_dm, (math.inf, 0.1, 0.026, PERFECT_TEST), "delta", "inf"),
     (forward_rho_dm, (-math.inf, 0.1, 0.026, PERFECT_TEST), "delta", "-inf"),
+    (mse_vs_srs, (math.inf, 0.01), "size", "inf"),
+    (survey_interval, (0.1, math.inf), "n", "inf"),
+    (trial_effect_bias, (1.0, 0.1, 0.1, math.inf), "sigma_u", "inf"),
 ]
 
 

@@ -27,10 +27,18 @@ from casebias import (
     relative_mse_mc,
 )
 from casebias._domain import TINY, label
-from casebias.decomposition import meas_adjustment
+from casebias.decomposition import meas_adjustment_rel
 from casebias.effsize import _scenario_error
 
 MEAS_REF = MeasurementModel(fp=0.005, fn=0.172)
+
+
+def d_m_of_rate(ybar, m, meas):
+    """D_M in the relative-rate form, where f has cancelled:
+    1 + FP + FN - (M-1)/(Ybar(M-1)+1) * (Ybar/(1-Ybar)) * (FP(1-Ybar)+FN*Ybar)."""
+    q = (m - 1.0) / (ybar * (m - 1.0) + 1.0)
+    mix = meas.fp * (1.0 - ybar) + meas.fn * ybar
+    return 1.0 + meas.fp + meas.fn - q * (ybar / (1.0 - ybar)) * mix
 
 
 def test_scenario_derived_rates():
@@ -179,17 +187,16 @@ def test_relative_mse_unknown_adjustment_wins_over_unknown_estimator():
 
 
 def _scenario_error_ladder(scenario, estimator, include_bias, adjustment):
-    # Reference: one branch per (adjustment, estimator) pair.
-    meas = scenario.meas or PERFECT_TEST
-    rho = binary_rho(scenario.delta, scenario.ybar, scenario.f)
-    base = rho * math.sqrt((1.0 - scenario.f) / scenario.f) * scenario.sigma_y
-    bias = meas.fp - (meas.fp + meas.fn) * scenario.ybar
-    sel = scenario.selection
+    # Reference: one branch per (adjustment, estimator) pair.  rho * sqrt((1-f)/f) * sigma_Y
+    # is (Delta/f) Ybar(1-Ybar), with Delta/f = (M-1)/(Ybar(M-1)+1).
+    meas, ybar, m = scenario.meas or PERFECT_TEST, scenario.ybar, scenario.rel_rate
+    base = (m - 1.0) / (ybar * (m - 1.0) + 1.0) * ybar * (1.0 - ybar)
+    bias = meas.fp - (meas.fp + meas.fn) * ybar
     rates = meas.fp + meas.fn
     if (adjustment, estimator) == ("scenario", "uncorrected"):
-        err = base * meas_adjustment(sel, meas, scenario.ybar)
+        err = base * meas_adjustment_rel(m, meas, ybar)
     elif (adjustment, estimator) == ("scenario", "corrected"):
-        return base * d_m(sel, meas, scenario.ybar)
+        return base * d_m_of_rate(ybar, m, meas)
     elif (adjustment, estimator) == ("expectation", "uncorrected"):
         err = base * (1.0 - rates)
     else:
@@ -291,11 +298,10 @@ def test_relative_mse_mc_seed_forms():
 def reference_neff_bound(ybar, m, f, meas=None):
     """One cell as the per-cell loop computes it, on Python floats:
     ((Ybar(M-1)+1)/(M-1))^2 / (Ybar(1-Ybar) D_M^2), infinite where M = 1,
-    where D_M = 0 or where the square overflows."""
-    sel = SelectionModel.from_relative_rate(f, m, ybar)
+    where D_M = 0 or where the square overflows.  f has cancelled from every factor."""
     adj = 1.0
     if meas is not None and not meas.is_perfect:
-        adj = d_m(sel, meas, ybar)
+        adj = d_m_of_rate(ybar, m, meas)
     if m == 1.0 or adj == 0.0:
         return math.inf
     try:
@@ -492,7 +498,7 @@ def subnormal_square_cells():
         for _ in range(2400):
             ybar, rel_rate, f, meas = random_neff_grid(rng)
             sc = EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), f, meas)
-            adj = d_m(sc.selection, meas or PERFECT_TEST, sc.ybar) * np.ones_like(sc.delta)
+            adj = d_m_of_rate(sc.ybar, np.array(rel_rate), meas or PERFECT_TEST)
             scale = binary_rho(sc.delta, sc.ybar, f) * adj
             bound = neff_bound(sc)
             for i, j in zip(*np.nonzero((scale != 0.0) & (scale**2 < TINY))):
@@ -582,7 +588,7 @@ def test_neff_bound_is_exact_on_every_finite_seeded_cell():
         for _ in range(2400):
             ybar, rel_rate, f, meas = random_neff_grid(rng)
             sc = EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), f, meas)
-            adj = d_m(sc.selection, meas or PERFECT_TEST, sc.ybar) * np.ones_like(sc.delta)
+            adj = d_m_of_rate(sc.ybar, np.array(rel_rate), meas or PERFECT_TEST)
             bound = neff_bound(sc)
             for i, j in zip(*np.nonzero(np.isfinite(bound))):
                 exact = exact_neff_bound(ybar[i], rel_rate[j], adj[i, j])
@@ -605,6 +611,45 @@ def test_perfect_test_neff_bound_does_not_depend_on_f():
             at_other = neff_bound(
                 EffSizeScenario(np.array(ybar)[:, None], np.array(rel_rate), other))
             assert np.array_equal(at_f, at_other), (ybar, rel_rate, f)
+
+
+def test_neff_bound_under_a_test_error_does_not_depend_on_f():
+    # D_M reads Delta/f = (M-1)/(Ybar(M-1)+1), not the rounded rates f0 and f1; through
+    # them, MEAS_REF's bounds moved on 977 of these grids, by up to 2.1e-11 relative.
+    rng = np.random.default_rng(20260)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(2400):
+            ybar, rel_rate, f, meas = random_neff_grid(rng)
+            other = 0.37 * f if 0.37 * f >= TINY else f / 0.37
+            for test in {MEAS_REF, meas or MEAS_REF}:
+                at_f, at_other = (neff_bound(EffSizeScenario(
+                    np.array(ybar)[:, None], np.array(rel_rate), x, test)) for x in (f, other))
+                assert np.array_equal(at_f, at_other), (ybar, rel_rate, f, test)
+
+
+def test_relative_mse_does_not_depend_on_f():
+    # rho * sqrt((1-f)/f) * sigma_Y = (Delta/f) Ybar(1-Ybar), and D_M reads Delta/f alone.
+    rng = np.random.default_rng(2323)
+    for _ in range(200):
+        meas = MeasurementModel(fp=float(rng.uniform(0, 0.2)), fn=float(rng.uniform(0, 0.3)))
+        ybar, m, f = (float(rng.uniform(0.01, 0.6)), float(rng.uniform(0.2, 5.0)),
+                      float(rng.uniform(0.001, 0.15)))
+        for adjustment in ("scenario", "expectation"):
+            for estimator in ("uncorrected", "corrected"):
+                at_f, at_other = (relative_mse(
+                    EffSizeScenario(ybar, m, x, meas), EffSizeScenario(ybar, m, x),
+                    estimator=estimator, adjustment=adjustment) for x in (f, 0.37 * f))
+                assert at_f == at_other, (ybar, m, f, meas, adjustment, estimator)
+
+
+def test_a_relative_rate_near_the_largest_double_keeps_every_bracket_finite():
+    # (M-1) * Ybar/(1-Ybar) overflows here; Delta/f = (M-1)/(Ybar(M-1)+1) stays near 1/Ybar.
+    perfect = EffSizeScenario(0.99, 1e307, 0.5)
+    assert neff_bound(perfect) == pytest.approx(99.0, rel=1e-14)
+    assert math.isfinite(neff_bound(EffSizeScenario(0.99, 1e307, 0.5, MEAS_REF)))
+    assert math.isfinite(relative_mse(EffSizeScenario(0.99, 1e307, 0.5, MEAS_REF), perfect))
+    assert meas_adjustment_rel(1e307, PERFECT_TEST, 0.99) == 1.0
 
 
 @pytest.mark.parametrize("f", [0.026, 0.3])

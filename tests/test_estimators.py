@@ -29,6 +29,7 @@ from casebias import (
     realize,
     rt_error,
     rt_estimate,
+    rt_gap,
     sir_simulate,
     solve_delta,
     survey_interval,
@@ -234,6 +235,32 @@ def test_bias_curves_peak_locations_differ_between_estimator_drivers():
     argmax_ratio = np.nanargmax(np.abs(prevalence_driven.ratio_bias[0]))
     argmax_rt = np.nanargmax(np.abs(cases_driven.rt_bias[0]))
     assert argmax_ratio != argmax_rt
+
+
+def test_bias_curves_and_rt_gap_do_not_depend_on_f():
+    # With the binary closed forms rho * D_M * sqrt((1-f)/f) * CV = (M-1)(1-Ybar) D_M /
+    # (Ybar(M-1)+1): D_M is bit-equal at every f, and rho * sqrt((1-f)/f) cancels f up to
+    # rounding.  Measured on this scenario between f = 0.02 and 0.37 f: ratio_bias and rt_bias
+    # within 5.5e-8 relative (the difference of two nearly equal error levels amplifies the
+    # rounding), rt_gap's estimates within 1.1e-15.
+    size, params = 1e6, dict(gamma_rec=0.2, i0=100, dt=0.1, horizon=400)
+    traj, traj_b = (sir_simulate(SirParams(beta=beta, size=size, s0=size - 100, **params))
+                    for beta in (1.4, 0.9))
+    f, other, meas = 0.02, 0.37 * 0.02, MeasurementModel(0.01, 0.15)
+    shares = traj.new_case_fraction[traj.new_case_fraction > 0.0]
+    assert np.array_equal(period_stats_analytic(shares, f, 4.0, meas).d_m,
+                          period_stats_analytic(shares, other, 4.0, meas).d_m)
+    for driver in ("cases", "prevalence"):
+        at_f, at_other = (bias_curves(traj, x, meas, [2.0, 4.0], 7.0, driver)
+                          for x in (f, other))
+        assert at_f.flagged == at_other.flagged
+        np.testing.assert_allclose(at_other.ratio_bias, at_f.ratio_bias, rtol=1e-7, atol=0)
+        np.testing.assert_allclose(at_other.rt_bias, at_f.rt_bias, rtol=1e-7, atol=0)
+    at_f, at_other = (rt_gap(traj, traj_b, x, MeasurementModel(0.01, 0.2), 4.0, 7.0)
+                      for x in (f, other))
+    assert at_f.flagged == at_other.flagged
+    np.testing.assert_allclose(at_other.est_a, at_f.est_a, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(at_other.est_b, at_f.est_b, rtol=1e-14, atol=0)
 
 
 def test_bias_curves_csv_schema():

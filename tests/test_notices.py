@@ -190,8 +190,9 @@ def test_private_names_cross_modules_only_where_listed():
         "compare": [("epidemic", "_true_rt"), ("estimators", "_rt_error_series"),
                     ("estimators", "_step_context"), ("estimators", "_warn_flagged")],
         "decomposition": [("population", "_realized_counts"), ("population", "_usable")],
-        "effsize": [("decomposition", "_corrected"), ("decomposition", "_d_m")],
-        "estimators": [("decomposition", "_flip_mass")],
+        "effsize": [("decomposition", "_bracket"), ("decomposition", "_corrected"),
+                    ("decomposition", "_delta_per_f")],
+        "estimators": [("decomposition", "_bracket"), ("decomposition", "_delta_per_f")],
     }
 
 
@@ -214,6 +215,27 @@ def test_only_domain_rows_builds_csv_text():
     builds = {path.name: _csv_text_builds(ast.parse(path.read_text()))
               for path in sorted(package.glob("*.py"))}
     assert {name: len(lines) for name, lines in builds.items() if lines} == {"_domain.py": 1}
+
+
+def _callers(tree, name):
+    """The functions of ``tree`` that call ``name`` by that bare name."""
+    return sorted({
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    })
+
+
+def test_only_bracket_writes_the_slope_of_d_m():
+    # decomposition._bracket is the one place D_M's slope Delta/f * Ybar/(1-Ybar) *
+    # (FP(1-Ybar)+FN*Ybar) is written; sigma_pz_analytic needs the flip mass alone.
+    package = Path(casebias.__file__).parent
+    callers = {path.name: _callers(ast.parse(path.read_text()), "_flip_mass")
+               for path in sorted(package.glob("*.py"))}
+    assert {name: funcs for name, funcs in callers.items() if funcs} == {
+        "decomposition.py": ["_bracket", "sigma_pz_analytic"]}
 
 
 def _json_writes(tree):
